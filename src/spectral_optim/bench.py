@@ -3,8 +3,9 @@
 A sweep runs ``trials`` seeded optimizations for every (dimension, set size)
 cell, reporting mean outer-iteration counts and wall times.  Trial t of any
 cell uses seed ``seed XOR t``, so cells are independent and the sweep is
-reproducible regardless of scheduling.  Per-trial errors are caught and
-counted as failures without aborting the sweep; failed trials are excluded
+reproducible regardless of scheduling.  Per-trial errors are caught without
+aborting the sweep: each failed trial's index, error type and message are
+kept on its cell and listed under the table, and failed trials are excluded
 from the means.
 
 Parallelism across trials uses a thread pool (the heavy lifting is numpy,
@@ -65,7 +66,12 @@ class BenchCell:
     mean_time_s: float
     trials: int
     seed: int
-    failures: int = 0
+    # (trial index, exception type name, message) of every failed trial
+    errors: tuple[tuple[int, str, str], ...] = ()
+
+    @property
+    def failures(self) -> int:
+        return len(self.errors)
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -99,12 +105,12 @@ def run_benchmark(spec: BenchSpec, threads: int | None = None) -> list[BenchCell
             for set_size in spec.set_sizes:
                 futures = [pool.submit(_one_trial, spec, d, set_size, t)
                            for t in range(spec.trials)]
-                iters, times, failures = [], [], 0
-                for fut in futures:
+                iters, times, errors = [], [], []
+                for trial, fut in enumerate(futures):
                     try:
                         it, dt = fut.result()
-                    except Exception:
-                        failures += 1
+                    except Exception as exc:
+                        errors.append((trial, type(exc).__name__, str(exc)))
                         continue
                     iters.append(it)
                     times.append(dt)
@@ -112,7 +118,7 @@ def run_benchmark(spec: BenchSpec, threads: int | None = None) -> list[BenchCell
                     d=d, set_size=set_size,
                     mean_iters=float(np.mean(iters)) if iters else float("nan"),
                     mean_time_s=float(np.mean(times)) if times else float("nan"),
-                    trials=spec.trials, seed=spec.seed, failures=failures))
+                    trials=spec.trials, seed=spec.seed, errors=tuple(errors)))
     return cells
 
 
@@ -143,6 +149,10 @@ def format_table(cells: list[BenchCell], spec: BenchSpec) -> str:
     for c in cells:
         out.append(f"{c.d:>6} {c.set_size:>6} {c.mean_iters:>12.2f} "
                    f"{c.mean_time_s:>12.4f} {c.trials:>7} {c.failures:>5}")
+    for c in cells:
+        for trial, kind, message in c.errors:
+            out.append(f"failed: d={c.d} N={c.set_size} trial {trial} "
+                       f"(seed {c.seed ^ trial}): {kind}: {message}")
     return "\n".join(out)
 
 

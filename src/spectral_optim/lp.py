@@ -1,28 +1,45 @@
-"""Small dense linear programming solver (two-phase primal simplex, Bland's rule).
+"""Small dense linear programming solver (two-phase primal simplex).
 
 Solves max/min of a linear objective subject to inequality constraints
 (normal, x) <= rhs and box bounds lo <= x <= hi.  Solutions are always
 vertices of the feasible polytope, which is what the row-set optimizers need:
 a vertex row keeps the iteration on extreme points of the uncertainty sets.
 
-The implementation is the classical tableau method.  Bland's anti-cycling
-rule (smallest eligible index for both the entering and leaving variable)
-guarantees termination on degenerate polytopes at a modest speed cost, which
-is irrelevant at the problem sizes seen here (tens of variables).
+The implementation is the classical tableau method; each pivot is one rank-1
+update of the tableau.  The entering column has the most negative reduced
+cost (Dantzig's rule) and the leaving row the minimum ratio, ties within the
+tolerance going to the smallest basic index.  Dantzig's rule can cycle on a
+degenerate vertex, so after a fixed run of pivots without objective gain the
+entering column becomes the smallest eligible index instead.  Together with
+the leaving tie-break that is Bland's rule (Bland 1977), which cannot cycle;
+the first pivot with a gain switches back to Dantzig's rule.
+
+A solve may start from the basis returned by an earlier solve of the same
+constraints, where only the objective or the sense differ.  That basis is
+still primal feasible, so the tableau is rebuilt from it with one linear
+solve and phase 2 restarts there, usually a pivot or two from the optimum.
+A basis that does not fit the program, or is singular or infeasible for it,
+is ignored and the solve starts cold.  Where several vertices are optimal,
+which one is returned can depend on the starting basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LinearProgram",
     "LPInfeasibleError",
+    "LPSolution",
     "LPUnboundedError",
     "lp_optimize",
 ]
+
+# Pivots without objective gain after which the entering rule switches from
+# Dantzig's to Bland's smallest index.
+_DEGENERATE_RUN = 50
 
 
 class LPInfeasibleError(ValueError):
@@ -67,48 +84,76 @@ class LinearProgram:
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class LPSolution:
+    """An optimal vertex ``x``, its objective ``value``, the final ``basis``
+    and the number of ``pivots`` taken.
+
+    Unpacks as ``x, value``.  ``basis`` holds the indices of the basic
+    columns of the standard form (structural, then one slack per constraint
+    row and finite upper bound); pass it to the next :func:`lp_optimize`
+    call on the same constraints to warm-start it.
+    """
+
+    x: np.ndarray
+    value: float
+    basis: tuple[int, ...]
+    pivots: int
+
+    def __iter__(self):
+        return iter((self.x, self.value))
+
+
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    pivot_row = T[row] / T[row, col]
+    T -= T[:, col, None] * pivot_row
+    T[row] = pivot_row
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> None:
-    """Drive the tableau to optimality in place (objective row is T[-1]).
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> int:
+    """Drive the tableau to optimality in place; returns the pivot count.
 
-    The objective row holds z_j - c_j for a maximization; a column with
-    T[-1, j] < -tol improves the objective.  Bland's rule everywhere.
+    The objective row T[-1] holds z_j - c_j for a maximization; a column
+    among the first ``ncols`` with T[-1, j] < -tol improves the objective.
     """
     m = T.shape[0] - 1
+    reduced = T[-1, :ncols]
     max_pivots = 20000 * (ncols + m)
-    for _ in range(max_pivots):
-        col = -1
-        for j in range(ncols):
-            if T[-1, j] < -tol:
-                col = j
-                break
-        if col < 0:
-            return
-        row, best_ratio, best_var = -1, np.inf, -1
-        for i in range(m):
-            a = T[i, col]
-            if a > tol:
-                ratio = T[i, -1] / a
-                if (ratio < best_ratio - tol
-                        or (abs(ratio - best_ratio) <= tol and basis[i] < best_var)):
-                    row, best_ratio, best_var = i, ratio, basis[i]
-        if row < 0:
+    degenerate = 0
+    for pivots in range(max_pivots):
+        if degenerate < _DEGENERATE_RUN:
+            col = int(reduced.argmin())
+            if reduced[col] >= -tol:
+                return pivots
+        else:
+            eligible = np.flatnonzero(reduced < -tol)
+            if eligible.size == 0:
+                return pivots
+            col = int(eligible[0])
+        rows = (T[:m, col] > tol).nonzero()[0]
+        if rows.size == 0:
             raise LPUnboundedError("LP unbounded")
+        ratios = T[rows, -1] / T[rows, col]
+        least = ratios.min()
+        tied = rows[ratios <= least + tol]
+        row = int(tied[basis[tied].argmin()])
+        degenerate = degenerate + 1 if least <= tol else 0
         _pivot(T, basis, row, col)
     raise RuntimeError("simplex exceeded its pivot budget")
 
 
-def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Maximize (c, y) s.t. A y <= b, y >= 0; returns an optimal vertex y."""
+def _cold_start(A: np.ndarray, b: np.ndarray, tol: float):
+    """A feasible tableau and basis for A y <= b, y >= 0, and the phase 1
+    pivot count.  The slack basis when b >= 0; phase 1 otherwise."""
     m, n = A.shape
     flip = b < 0
+    if not flip.any():
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = A
+        T[:m, n:n + m] = np.eye(m)
+        T[:m, -1] = b
+        return T, np.arange(n, n + m), 0
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
     # Columns: n structural, m slack/surplus, then one artificial per flipped
@@ -118,58 +163,71 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.
     ncols = n + m + n_art
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :n] = A
-    for i in range(m):
-        T[i, n + i] = -1.0 if flip[i] else 1.0
-    for k, i in enumerate(art_rows):
-        T[i, n + m + k] = 1.0
+    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
     T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = n + i
-    for k, i in enumerate(art_rows):
-        basis[i] = n + m + k
-
-    if n_art:
-        # Phase 1: maximize -sum(artificials).  With artificials basic the
-        # priced objective row is -sum of their rows, except on the
-        # artificial columns themselves where z_j - c_j = 0.
-        for i in art_rows:
-            T[-1] -= T[i]
-        T[-1, n + m:ncols] = 0.0
-        _run_simplex(T, basis, ncols, tol)
-        if T[-1, -1] < -1e-7:
-            raise LPInfeasibleError("LP infeasible")
-        # Pivot any artificial still basic (at zero level) out on a real
-        # column; a row with no real pivot is redundant and can stay put
-        # with its artificial column frozen.
-        for i in range(m):
-            if basis[i] >= n + m:
-                piv = -1
-                for j in range(n + m):
-                    if abs(T[i, j]) > tol:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, i, piv)
-        T[:, n + m:ncols] = 0.0
-        T[-1, :] = 0.0
-
-    # Phase 2: price out the real objective for the current basis.
-    T[-1, :n] = -c
-    for i in range(m):
-        if basis[i] < n:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    _run_simplex(T, basis, n + m, tol)
-
-    y = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            y[basis[i]] = T[i, -1]
-    return y
+    basis = np.arange(n, n + m)
+    basis[art_rows] = n + m + np.arange(n_art)
+    # Phase 1: maximize -sum(artificials).  With artificials basic the
+    # priced objective row is -sum of their rows, except on the artificial
+    # columns themselves where z_j - c_j = 0.
+    T[-1] = -T[art_rows].sum(axis=0)
+    T[-1, n + m:ncols] = 0.0
+    pivots = _run_simplex(T, basis, ncols, tol)
+    if T[-1, -1] < -1e-7:
+        raise LPInfeasibleError("LP infeasible")
+    # Pivot any artificial still basic (at zero level) out on a real column.
+    # A row with no real pivot keeps its artificial; such a basis is not
+    # reused for warm starts.
+    for i in np.flatnonzero(basis >= n + m):
+        real = np.flatnonzero(np.abs(T[i, :n + m]) > tol)
+        if real.size:
+            _pivot(T, basis, i, int(real[0]))
+            pivots += 1
+    T = np.delete(T, np.s_[n + m:ncols], axis=1)
+    return T, basis, pivots
 
 
-def lp_optimize(lp: LinearProgram, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Solve the program, returning an optimal vertex and its objective value.
+def _warm_start(A: np.ndarray, b: np.ndarray, basis, tol: float):
+    """Like :func:`_cold_start`, from a given basis; None when the basis is
+    not a feasible basis of A y <= b, y >= 0."""
+    m, n = A.shape
+    basis = np.asarray(basis, dtype=np.intp)
+    if (basis.shape != (m,) or np.unique(basis).size != m
+            or (m and (basis.min() < 0 or basis.max() >= n + m))):
+        return None
+    M = np.hstack([A, np.eye(m), b[:, None]])
+    try:
+        rows = np.linalg.solve(M[:, basis], M)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(rows)) or np.any(rows[:, -1] < -tol):
+        return None
+    rows[:, basis] = np.eye(m)
+    np.maximum(rows[:, -1], 0.0, out=rows[:, -1])
+    T = np.vstack([rows, np.zeros(n + m + 1)])
+    return T, basis, 0
+
+
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> int:
+    """Price the objective ``c`` (max) for the tableau's basis and run the
+    simplex to optimality; returns the pivot count."""
+    m = T.shape[0] - 1
+    ncols = T.shape[1] - 1
+    cost = np.zeros(ncols + m)   # room for artificials left basic at zero
+    cost[:c.size] = c
+    T[-1] = cost[basis] @ T[:m]
+    T[-1, :ncols] -= cost[:ncols]
+    return _run_simplex(T, basis, ncols, tol)
+
+
+def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
+                basis: tuple[int, ...] | None = None) -> LPSolution:
+    """Solve the program to an optimal vertex (see :class:`LPSolution`).
+
+    ``basis`` is the :attr:`LPSolution.basis` of an earlier solve of a
+    program with the same constraints; the solve then restarts phase 2 from
+    it (see the module docstring).
 
     Raises
     ------
@@ -191,6 +249,14 @@ def lp_optimize(lp: LinearProgram, tol: float = 1e-9) -> tuple[np.ndarray, float
         rhs.append(lp.hi[idx] - lp.lo[idx])
     A = np.vstack(rows)
     b = np.concatenate(rhs)
-    y = _simplex_max(c, A, b, tol)
+    start = None if basis is None else _warm_start(A, b, basis, tol)
+    if start is None:
+        start = _cold_start(A, b, tol)
+    T, basic, pivots = start
+    pivots += _phase2(T, basic, c, tol)
+
+    y = np.zeros(n)
+    structural = basic < n
+    y[basic[structural]] = T[:-1, -1][structural]
     x = y + lp.lo
-    return x, float(lp.objective @ x)
+    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()), pivots)

@@ -442,16 +442,16 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     res.rho_perturbed = retry.rho
     res.perturbed_result = retry
     X = _pull_back_matrix(family, retry.matrix, cfg.reducibility_alpha)
-    pair = selected_eigenpair(X, cfg.power)
+    v, rho = _eigen(X, cfg, None)
     sign = 1.0 if cfg.direction == "max" else -1.0
-    if sign * (pair.rho - res.rho) > 0:
-        up = family.best_matrix(pair.v, "max")
-        down = family.best_matrix(pair.v, "min")
+    if sign * (rho - res.rho) > 0:
+        up = family.best_matrix(v, "max")
+        down = family.best_matrix(v, "min")
         res.matrix = X
-        res.rho = pair.rho
-        res.eigenvector = pair.v
-        res.bounds = (float(_lower_from_dots(pair.v, down @ pair.v, cfg.zero_tol)),
-                      float(_upper_from_dots(pair.v, up @ pair.v, cfg.zero_tol)))
+        res.rho = rho
+        res.eigenvector = v
+        res.bounds = (float(_lower_from_dots(v, down @ v, cfg.zero_tol)),
+                      float(_upper_from_dots(v, up @ v, cfg.zero_tol)))
     return res
 
 

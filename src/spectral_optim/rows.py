@@ -14,18 +14,21 @@ direction v?  Each set variant implements that oracle exactly:
   spends everything on the single best coordinate, the minimum removes mass
   from the most expensive coordinates first.
 * :class:`HalfspacePoly` is a polytope cut from the unit box by non-negative
-  halfspaces; the oracle is a small LP solved to a vertex.
+  halfspaces; the maximum is a small LP solved to a vertex, warm-started
+  from the set's previous optimal basis, and the minimum is the origin.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
   positive orthant, with a closed-form touching point.
 
 Ties are broken deterministically toward the lowest index so that runs are
-reproducible (the LP-backed variant inherits determinism from Bland's rule).
+reproducible.  The exception is the LP-backed maximum: where several vertices
+of a polytope are optimal, the one returned depends on the basis the set's
+previous solve ended at.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,6 +230,7 @@ class HalfspacePoly(RowSet):
     """{x : 0 <= x <= 1, (normal_j, x) <= 1 for every j} with normals >= 0."""
 
     normals: np.ndarray
+    _basis: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         nm = np.asarray(self.normals, dtype=float)
@@ -243,16 +247,22 @@ class HalfspacePoly(RowSet):
         return self.normals.shape[1]
 
     def _best_row(self, v, direction):
+        if direction == "min":
+            # v >= 0 and the origin is feasible, so it attains the minimum.
+            return np.zeros(self.d)
         lp = LinearProgram(
             objective=v,
             normals=self.normals,
             rhs=np.ones(self.normals.shape[0]),
             lo=np.zeros(self.d),
             hi=np.ones(self.d),
-            sense=direction,
         )
-        x, _ = lp_optimize(lp)
-        return np.maximum(x, 0.0)
+        # Only v changes between calls, so the last optimal basis stays
+        # feasible and warm-starts the next solve.  The basis is an immutable
+        # tuple replaced whole, so concurrent callers share no mutable state.
+        sol = lp_optimize(lp, basis=self._basis)
+        object.__setattr__(self, "_basis", sol.basis)
+        return np.maximum(sol.x, 0.0)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)

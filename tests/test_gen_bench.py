@@ -193,6 +193,10 @@ def test_failed_trials_are_counted_not_raised(monkeypatch):
     cells = run_benchmark(spec, threads=1)
     assert cells[0].failures == 2
     assert cells[0].mean_iters == 3.0
+    assert cells[0].errors == ((1, "RuntimeError", "synthetic trial failure"),
+                               (3, "RuntimeError", "synthetic trial failure"))
+    table = format_table(cells, spec)
+    assert "failed: d=3 N=2 trial 3 (seed 3): RuntimeError: synthetic trial failure" in table
 
     monkeypatch.setattr("spectral_optim.bench.optimize",
                         lambda fam, cfg: (_ for _ in ()).throw(RuntimeError("x")))

@@ -79,3 +79,103 @@ def test_validation():
     with pytest.raises(ValueError):
         LinearProgram(objective=np.ones(2), normals=np.empty((0, 2)),
                       rhs=np.empty(0), lo=np.zeros(2), hi=np.ones(2), sense="between")
+
+
+def test_pivot_matches_the_row_loop_bit_for_bit():
+    # The rank-1 update must do each row's arithmetic exactly as the
+    # row-by-row elimination it replaced.
+    from spectral_optim.lp import _pivot
+
+    def loop_pivot(T, basis, row, col):
+        T[row] /= T[row, col]
+        for i in range(T.shape[0]):
+            if i != row and T[i, col] != 0.0:
+                T[i] -= T[i, col] * T[row]
+        basis[row] = col
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        T = rng.normal(size=(6, 9))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        row, col = int(rng.integers(5)), int(rng.integers(8))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        got, want = T.copy(), T.copy()
+        b_got, b_want = np.arange(5), np.arange(5)
+        _pivot(got, b_got, row, col)
+        loop_pivot(want, b_want, row, col)
+        assert np.array_equal(got, want)
+        assert np.array_equal(b_got, b_want)
+
+
+def test_dantzig_cycling_example_terminates():
+    # Chvatal, Linear Programming, ch. 3: most-negative-reduced-cost entry
+    # with smallest-index leaving ties cycles here forever; the switch to
+    # Bland's smallest index after a run of degenerate pivots ends it.
+    lp = LinearProgram(objective=np.array([10.0, -57.0, -9.0, -24.0]),
+                       normals=np.array([[0.5, -5.5, -2.5, 9.0],
+                                         [0.5, -1.5, -0.5, 1.0],
+                                         [1.0, 0.0, 0.0, 0.0]]),
+                       rhs=np.array([0.0, 0.0, 1.0]),
+                       lo=np.zeros(4), hi=np.full(4, np.inf))
+    sol = lp_optimize(lp)
+    assert sol.value == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(sol.x, (1.0, 0.0, 1.0, 0.0), atol=1e-12)
+    assert sol.pivots < 1000
+
+
+def _boxed_lp(objective, normals):
+    d = normals.shape[1]
+    return LinearProgram(objective=objective, normals=normals,
+                         rhs=np.ones(normals.shape[0]), lo=np.zeros(d), hi=np.ones(d))
+
+
+def test_warm_start_matches_cold_solves():
+    rng = np.random.default_rng(21)
+    normals = rng.random((8, 6))
+    basis = None
+    for _ in range(30):
+        lp = _boxed_lp(rng.normal(size=6), normals)
+        cold = lp_optimize(lp)
+        warm = lp_optimize(lp, basis=basis)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+        assert np.all(normals @ warm.x <= 1.0 + 1e-10)
+        assert np.all(warm.x >= -1e-10) and np.all(warm.x <= 1.0 + 1e-10)
+        # Restarting at the optimal basis of the same objective takes no pivot.
+        assert lp_optimize(lp, basis=warm.basis).pivots == 0
+        basis = warm.basis
+
+
+def test_unusable_warm_basis_falls_back_to_a_cold_solve():
+    lp = LinearProgram(objective=np.array([2.0, 1.0]),
+                       normals=np.array([[1.0, 1.0], [1.0, 1.0]]), rhs=np.ones(2),
+                       lo=np.zeros(2), hi=np.ones(2))
+    cold = lp_optimize(lp)
+    # Standard-form columns: x0, x1, then slacks of the two rows and the two
+    # upper bounds.
+    for basis in [(0, 1, 2),          # wrong length
+                  (0, 1, 2, 9),       # index out of range
+                  (0, 0, 4, 5),       # repeated index
+                  (0, 1, 4, 5),       # singular: the two rows are equal
+                  (0, 1, 2, 3)]:      # infeasible: x = (1, 1) breaks x0 + x1 <= 1
+        warm = lp_optimize(lp, basis=basis)
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.value == cold.value
+        assert warm.pivots == cold.pivots
+    assert cold.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_warm_start_from_a_phase_one_basis():
+    # rhs < 0 forces phase 1 on the cold solve; its basis warm-starts the
+    # next objective.
+    rng = np.random.default_rng(22)
+    normals = np.vstack([rng.random((3, 4)), -np.ones((1, 4))])
+    rhs = np.array([1.5, 1.5, 1.5, -0.5])
+    basis = None
+    for _ in range(10):
+        lp = LinearProgram(objective=rng.normal(size=4), normals=normals, rhs=rhs,
+                           lo=np.zeros(4), hi=np.ones(4))
+        cold = lp_optimize(lp)
+        warm = lp_optimize(lp, basis=basis)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+        assert np.all(normals @ warm.x <= rhs + 1e-10)
+        basis = warm.basis

@@ -260,6 +260,23 @@ def test_reducible_pullback_rescues_a_stalled_run():
     assert res.rho_perturbed == pytest.approx(2.5, abs=1e-6)
 
 
+def test_reducible_retry_survives_a_small_power_budget():
+    # The pulled-back diag(2, 2.5) needs about 190 power iterations at this
+    # eps; the retry's eigenpair falls back to the last iterate like the main
+    # loop instead of raising PowerIterationError.
+    fam = _finite_family([
+        [[2.0, 0.0]],
+        [[0.0, 0.0], [0.0, 2.5]],
+    ])
+    cfg = OptimizerConfig(power=PowerConfig(eps=1e-13, max_iters=60))
+    res = selective_greedy(fam, cfg, initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
+    assert res.status == "reducible-detected"
+    np.testing.assert_allclose(res.matrix, [[2.0, 0.0], [0.0, 2.5]], atol=1e-12)
+    assert res.rho == pytest.approx(2.5, abs=1e-6)
+    t, s = res.bounds
+    assert t - 1e-9 <= res.rho <= s + 1e-9
+
+
 # ---------------------------------------------------------- traces, recording
 
 def test_trace_is_sandwiched_and_monotone_on_fixture():

@@ -244,3 +244,77 @@ def test_product_family():
         ProductFamily((FiniteSet(np.array([[1.0, 0.0]])),))  # 1 set for d=2
     assert np.array_equal(best_row(family.sets[0], np.array([3.0, 2.0, 2.0])),
                           (12.0, 0.0, 0.0))
+
+
+def _poly_cold_value(normals, v, direction="max"):
+    d = normals.shape[1]
+    lp = LinearProgram(objective=v, normals=normals, rhs=np.ones(normals.shape[0]),
+                       lo=np.zeros(d), hi=np.ones(d), sense=direction)
+    return lp_optimize(lp).value
+
+
+def test_halfspace_poly_minimum_is_the_origin():
+    rng = np.random.default_rng(107)
+    for case in range(60):
+        d = 1 + case % 7
+        normals = rng.random((1 + case % 5, d))
+        v = rng.random(d)
+        v[rng.random(d) < 0.4] = 0.0
+        if not np.any(v > 0.0):
+            v[0] = 1.0
+        row = HalfspacePoly(normals).best_row(v, "min")
+        assert np.array_equal(row, np.zeros(d))
+        assert float(row @ v) == _poly_cold_value(normals, v, "min")
+
+
+def test_halfspace_poly_warm_start_sequence_matches_cold_solves():
+    rng = np.random.default_rng(108)
+    d = 12
+    normals = rng.random((20, d)) / 3.0
+    rs = HalfspacePoly(normals)
+    fresh = [rng.random(d) + 1e-3 for _ in range(6)]
+    sparse = []
+    for _ in range(4):
+        v = rng.random(d)
+        v[rng.random(d) < 0.5] = 0.0
+        v[0] = max(v[0], 0.1)
+        sparse.append(v)
+    for v in fresh[:3] + sparse + [fresh[0]] + fresh[3:] + [sparse[1], fresh[2]]:
+        row = rs.best_row(v)
+        want = _poly_cold_value(normals, v)
+        assert float(row @ v) == pytest.approx(want, rel=1e-12)
+        assert rs.contains(row, tol=1e-12)
+
+
+def test_halfspace_poly_shared_by_threads():
+    import sys
+    import threading
+
+    rng = np.random.default_rng(109)
+    d = 10
+    normals = rng.random((15, d)) / 2.0
+    rs = HalfspacePoly(normals)
+    vs = [rng.random(d) + 1e-3 for _ in range(40)]
+    want = [_poly_cold_value(normals, v) for v in vs]
+    results = [None] * 4
+
+    def work(slot):
+        order = np.random.default_rng(slot).permutation(len(vs))
+        results[slot] = {i: float(rs.best_row(vs[i]) @ vs[i]) for i in order}
+
+    # More threads than cores, each through the directions in its own order.
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None
+        for i, value in got.items():
+            assert value == pytest.approx(want[i], rel=1e-12)
