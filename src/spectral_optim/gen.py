@@ -44,9 +44,14 @@ POLY_NORMALS_NOTE = "normals uniform on (0,1]^d scaled to unit Euclidean norm"
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """splitmix64's output function, applied to x in place."""
+    shifted = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
+    x *= _MIX1
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x *= _MIX2
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
 
 
 class CounterStream:
@@ -60,9 +65,11 @@ class CounterStream:
         """Next n raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix(self._seed + ks * _GAMMA)
+        x *= _GAMMA
+        x += self._seed
+        return _mix(x)
 
     def uniform_open_closed(self, n: int) -> np.ndarray:
         """n uniforms on (0, 1] (53-bit resolution)."""
@@ -90,12 +97,21 @@ def generate_random_family(d: int, set_size: int,
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError("density interval must satisfy 0 <= lo <= hi <= 1")
     stream = CounterStream(seed)
+    nd = set_size * d
     sets = []
     for _ in range(d):
-        gamma = lo + (hi - lo) * float(stream.uniform_open_closed(1)[0])
-        checks = stream.uniform_half_open(set_size * d).reshape(set_size, d)
-        mags = stream.uniform_open_closed(set_size * d).reshape(set_size, d)
-        fallback = stream.uniform_open_closed(set_size)
+        # One block of draws per set in the layout above, converted to
+        # uniforms in place: [0, 1) for the checks, (0, 1] for the rest.
+        u = stream.raw(1 + 2 * nd + set_size)
+        u >>= np.uint64(11)
+        u[0] += np.uint64(1)
+        u[1 + nd:] += np.uint64(1)
+        f = u.astype(np.float64)
+        f *= _TWO53_INV
+        gamma = lo + (hi - lo) * float(f[0])
+        checks = f[1:1 + nd].reshape(set_size, d)
+        mags = f[1 + nd:1 + 2 * nd].reshape(set_size, d)
+        fallback = f[1 + 2 * nd:]
         rows = np.where(checks < gamma, mags, 0.0)
         dead = ~np.any(rows > 0.0, axis=1)
         rows[dead, 0] = fallback[dead]

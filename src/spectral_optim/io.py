@@ -10,7 +10,9 @@ one descriptor per row set:
 * ``{"type": "ellipsoid", "center": [...], "radius": r, "axes": [...]}``
 
 Matrices are ``{"d": d, "rows": [[...], ...]}``.  Non-finite values are
-encoded as the string ``"inf"`` on output and accepted on input.
+encoded as the string ``"inf"`` on output and accepted on input.  A file
+missing a required key is rejected with a ``ValueError`` that names the key
+and, for a row set, its index and type.
 """
 
 from __future__ import annotations
@@ -78,22 +80,36 @@ def _set_to_dict(rs: RowSet) -> dict:
     raise ValueError(f"cannot serialize row set of type {type(rs).__name__}")
 
 
-def _set_from_dict(obj: dict, d: int) -> RowSet:
-    kind = obj.get("type")
+def _field(obj, key: str, where: str):
+    """``obj[key]``, or a ValueError saying which object lacks it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _set_from_dict(obj: dict, d: int, index: int) -> RowSet:
+    kind = _field(obj, "type", f"sets[{index}]")
+    where = f"sets[{index}] ({kind})"
+
+    def get(key):
+        return _field(obj, key, where)
+
     if kind == "finite":
-        return FiniteSet(_decode_array(obj["rows"]))
+        return FiniteSet(_decode_array(get("rows")))
     if kind == "graph":
-        return GraphDegreeSet(d, int(obj["n"]), str(obj.get("sense", "at_most")))
+        return GraphDegreeSet(d, int(get("n")), str(obj.get("sense", "at_most")))
     if kind == "l1ball":
-        return L1Ball(np.array([float(x) for x in obj["center"]]),
-                      float(obj["radius"]))
+        return L1Ball(np.array([float(x) for x in get("center")]),
+                      float(get("radius")))
     if kind == "poly":
-        return HalfspacePoly(_decode_array(obj["normals"]))
+        return HalfspacePoly(_decode_array(get("normals")))
     if kind == "ellipsoid":
-        return Ellipsoid(np.array([float(x) for x in obj["center"]]),
-                         float(obj["radius"]),
-                         np.array([float(x) for x in obj["axes"]]))
-    raise ValueError(f"unknown row set type {kind!r}")
+        return Ellipsoid(np.array([float(x) for x in get("center")]),
+                         float(get("radius")),
+                         np.array([float(x) for x in get("axes")]))
+    raise ValueError(f"sets[{index}]: unknown row set type {kind!r}")
 
 
 def family_to_dict(family: ProductFamily) -> dict:
@@ -101,11 +117,11 @@ def family_to_dict(family: ProductFamily) -> dict:
 
 
 def family_from_dict(obj: dict) -> ProductFamily:
-    d = int(obj["d"])
-    sets = obj["sets"]
+    d = int(_field(obj, "d", "family file"))
+    sets = _field(obj, "sets", "family file")
     if len(sets) != d:
         raise ValueError(f"family file declares d={d} but has {len(sets)} sets")
-    return ProductFamily(tuple(_set_from_dict(s, d) for s in sets))
+    return ProductFamily(tuple(_set_from_dict(s, d, i) for i, s in enumerate(sets)))
 
 
 def save_family(family: ProductFamily, path) -> None:
@@ -125,7 +141,7 @@ def matrix_to_dict(A) -> dict:
 
 
 def matrix_from_dict(obj: dict) -> np.ndarray:
-    A = _decode_array(obj["rows"])
+    A = _decode_array(_field(obj, "rows", "matrix file"))
     d = int(obj.get("d", A.shape[0]))
     if A.shape != (d, d):
         raise ValueError(f"matrix file declares d={d} but rows have shape {A.shape}")

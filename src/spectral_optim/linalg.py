@@ -217,36 +217,24 @@ def left_eigenvector(A, config: PowerConfig | None = None) -> np.ndarray:
     return v / float(np.linalg.norm(v))
 
 
-def _row_objectives(v: np.ndarray, family, direction: str) -> np.ndarray:
-    """Best achievable (row, v) per uncertainty set, as a vector."""
-    out = np.empty(len(family.sets))
-    for i, rs in enumerate(family.sets):
-        out[i] = float(rs.best_row(v, direction) @ v)
-    return out
-
-
 def _upper_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:
     """Aggregate max_i dots_i / v_i with the vanishing-component conventions."""
-    best = -np.inf
-    for i in range(v.shape[0]):
-        if v[i] > zero_tol:
-            best = max(best, dots[i] / v[i])
-        elif dots[i] > 0.0:
-            return float("inf")
-    if best == -np.inf:
-        # Every row hit the 0/0 case; nothing constrains the radius from
-        # above, which cannot happen for a unit-norm eigenvector.
+    live = v > zero_tol
+    if np.any(dots[~live] > 0.0) or not np.any(live):
+        # A vanishing component that still sees mass makes the ratio
+        # unbounded.  When every row hits the 0/0 case nothing constrains
+        # the radius from above, which cannot happen for a unit-norm
+        # eigenvector.
         return float("inf")
-    return float(best)
+    return float(np.max(dots[live] / v[live]))
 
 
 def _lower_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:
     """Aggregate min_i dots_i / v_i, vanishing components contributing +inf."""
-    best = np.inf
-    for i in range(v.shape[0]):
-        if v[i] > zero_tol:
-            best = min(best, dots[i] / v[i])
-    return float(best)
+    live = v > zero_tol
+    if not np.any(live):
+        return float("inf")
+    return float(np.min(dots[live] / v[live]))
 
 
 def upper_bound_s(v, family, zero_tol: float = 1e-12) -> float:
@@ -257,10 +245,13 @@ def upper_bound_s(v, family, zero_tol: float = 1e-12) -> float:
     +inf when some candidate row still sees mass ((row, v) > 0) and are
     skipped entirely on the 0/0 case.  Returns max_i s_i.
 
-    The bound sandwiches every iterate: rho_k <= s, and rho_max <= s.
+    The bound sandwiches every iterate: rho_k <= s, and rho_max <= s.  The
+    achievable values are the product of the maximizing matrix with v, the
+    same product the optimizer certifies with, so s is never below a ratio
+    of that matrix by rounding, however small v_i is.
     """
     v = check_vector(v, family.d)
-    return _upper_from_dots(v, _row_objectives(v, family, "max"), zero_tol)
+    return _upper_from_dots(v, family.best_matrix(v, "max") @ v, zero_tol)
 
 
 def lower_bound_t(v, family, zero_tol: float = 1e-12) -> float:
@@ -272,4 +263,4 @@ def lower_bound_t(v, family, zero_tol: float = 1e-12) -> float:
     t <= rho_k and t <= rho_min.
     """
     v = check_vector(v, family.d)
-    return _lower_from_dots(v, _row_objectives(v, family, "min"), zero_tol)
+    return _lower_from_dots(v, family.best_matrix(v, "min") @ v, zero_tol)

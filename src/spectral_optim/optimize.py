@@ -200,14 +200,26 @@ class OptimizationResult:
     iterates: list[np.ndarray] | None = None
 
 
-def matrix_signature(A, quantum: float = 1e-12) -> bytes:
-    """Content hash of a matrix with entries quantized at ``quantum``."""
-    A = np.asarray(A, dtype=float)
-    q = np.rint(A / quantum).astype(np.int64)
+def _row_digests(rows, quantum: float = 1e-12) -> list[bytes]:
+    """One digest per row, of its entries quantized at ``quantum``."""
+    q = np.rint(np.asarray(rows, dtype=float) / quantum).astype(np.int64)
+    return [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in q]
+
+
+def _digest_of_rows(row_digests: list[bytes]) -> bytes:
     h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(A.shape[0]).tobytes())
-    h.update(q.tobytes())
+    h.update(np.int64(len(row_digests)).tobytes())
+    h.update(b"".join(row_digests))
     return h.digest()
+
+
+def matrix_signature(A, quantum: float = 1e-12) -> bytes:
+    """Content hash of a matrix with entries quantized at ``quantum``.
+
+    It is the digest of the row count and the per-row digests, so the
+    optimizers keep it current by re-hashing only the rows a step changed.
+    """
+    return _digest_of_rows(_row_digests(A, quantum))
 
 
 def detect_cycle(signatures, rhos, delta: float = 1e-10,
@@ -319,6 +331,7 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         A = family.best_matrix(np.ones(d), cfg.direction)
     step_kind = _METHODS[cfg.method]
     sign = 1.0 if cfg.direction == "max" else -1.0
+    row_digests = _row_digests(A)
     seen: dict[bytes, float] = {}
     trace = IterationTrace()
     iterates: list[np.ndarray] | None = [] if cfg.record_iterates else None
@@ -328,8 +341,7 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
         v, rho = _eigen(A, cfg, eigenvector_fn)
-        up = family.best_matrix(v, "max")
-        down = family.best_matrix(v, "min")
+        up, down = family.extremes(v)
         s = _upper_from_dots(v, up @ v, cfg.zero_tol)
         t = _lower_from_dots(v, down @ v, cfg.zero_tol)
         if iterates is not None:
@@ -337,7 +349,7 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         last = (A, v, rho, s, t)
         if best is None or sign * (rho - best[2]) > 0:
             best = last
-        sig = matrix_signature(A)
+        sig = _digest_of_rows(row_digests)
         prev_rho = seen.get(sig)
         if prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta:
             trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0))
@@ -361,6 +373,9 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
             else:
                 status = STATUS_OPTIMAL
             break
+        rows = list(changed)
+        for i, digest in zip(rows, _row_digests(A_next[rows])):
+            row_digests[i] = digest
         A = A_next
     if status is None:
         _, _, rho_l, s_l, t_l = last
@@ -445,8 +460,7 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     v, rho = _eigen(X, cfg, None)
     sign = 1.0 if cfg.direction == "max" else -1.0
     if sign * (rho - res.rho) > 0:
-        up = family.best_matrix(v, "max")
-        down = family.best_matrix(v, "min")
+        up, down = family.extremes(v)
         res.matrix = X
         res.rho = rho
         res.eigenvector = v

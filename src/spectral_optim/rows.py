@@ -3,11 +3,18 @@
 A product family is a set of d x d matrices assembled row by row: row i is
 drawn independently from its own uncertainty set F_i of non-negative
 d-vectors.  Because the rows decouple, optimizing the spectral radius over
-the family reduces to repeatedly answering one question per row: which member
-of F_i maximizes (or minimizes) the inner product with a given non-negative
-direction v?  Each set variant implements that oracle exactly:
+the family reduces to repeatedly answering one question per row: which members
+of F_i maximize and minimize the inner product with a given non-negative
+direction v?  :meth:`ProductFamily.extremes` answers both for every row in one
+call: it validates v once and fills the maximizing and the minimizing matrix
+from one kernel per set, so each set is visited once per call.  Each set
+variant's kernel is exact:
 
-* :class:`FiniteSet` scans an explicit list of rows.
+* :class:`FiniteSet` scans an explicit list of rows: one product ``rows @ v``
+  gives both the argmax and the argmin.  A v whose largest component is
+  below 1/2 is first scaled by the power of two that lifts it to [1/2, 1);
+  the scaling is exact, so it keeps every comparison, but products of a
+  tiny v no longer underflow into false ties.
 * :class:`GraphDegreeSet` is the 0/1 rows with a row-sum constraint; the
   optimum puts ones on the largest (or smallest) components of v.
 * :class:`L1Ball` moves budget from a non-negative center row; the maximum
@@ -17,11 +24,19 @@ direction v?  Each set variant implements that oracle exactly:
   halfspaces; the maximum is a small LP solved to a vertex, warm-started
   from the set's previous optimal basis, and the minimum is the origin.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
-  positive orthant, with a closed-form touching point.
+  positive orthant, with a closed-form touching point; one scaled direction
+  gives both extremes.
+
+The graph and L1 kernels order the components of v with a stable sort.  The
+sort is made at most once per call, on first use, and shared by every set
+of the family.  :meth:`RowSet.best_row` and :meth:`ProductFamily.best_matrix`
+select one extreme from the same kernels.
 
 Ties are broken deterministically toward the lowest index so that runs are
-reproducible.  The exception is the LP-backed maximum: where several vertices
-of a polytope are optimal, the one returned depends on the basis the set's
+reproducible: the first maximal (minimal) finite row, the lowest indices
+among equal components of v, the first coordinate of largest v for the L1
+maximum.  The exception is the LP-backed maximum: where several vertices of
+a polytope are optimal, the one returned depends on the basis the set's
 previous solve ended at.
 """
 
@@ -53,6 +68,42 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
 
 
+class _Objective:
+    """A validated objective v with its stable orders and its lifted copy,
+    each made on first use and shared by every set the oracle call visits."""
+
+    __slots__ = ("v", "_descending", "_ascending", "_lifted")
+
+    def __init__(self, v, d: int):
+        v = check_vector(v, d)
+        if not np.any(v > 0.0):
+            raise ValueError("degenerate objective: v has no positive component")
+        self.v = v
+        self._descending = None
+        self._ascending = None
+        self._lifted = None
+
+    def descending(self) -> np.ndarray:
+        """Indices by decreasing v, equal components in index order."""
+        if self._descending is None:
+            self._descending = np.argsort(-self.v, kind="stable")
+        return self._descending
+
+    def ascending(self) -> np.ndarray:
+        """Indices by increasing v, equal components in index order."""
+        if self._ascending is None:
+            self._ascending = np.argsort(self.v, kind="stable")
+        return self._ascending
+
+    def lifted(self) -> np.ndarray:
+        """v times the power of two that brings its largest component to
+        [1/2, 1), when that component is smaller."""
+        if self._lifted is None:
+            exponent = int(np.frexp(self.v.max())[1])
+            self._lifted = np.ldexp(self.v, -exponent) if exponent < 0 else self.v
+        return self._lifted
+
+
 class RowSet(abc.ABC):
     """A set of admissible non-negative rows of fixed length."""
 
@@ -67,14 +118,21 @@ class RowSet(abc.ABC):
         ``v`` must be non-negative and nonzero.  Ties are resolved
         deterministically (lowest index wins).
         """
-        v = check_vector(v, self.d)
         _check_direction(direction)
-        if not np.any(v > 0.0):
-            raise ValueError("degenerate objective: v has no positive component")
-        return self._best_row(v, direction)
+        return np.array(self._pick(_Objective(v, self.d), direction))
 
     @abc.abstractmethod
-    def _best_row(self, v: np.ndarray, direction: str) -> np.ndarray: ...
+    def _extremes(self, obj: _Objective) -> tuple[np.ndarray, np.ndarray]:
+        """The maximizing and the minimizing row against ``obj.v``.
+
+        The rows may be views of the set's own arrays: callers copy them
+        before handing them out.
+        """
+
+    def _pick(self, obj: _Objective, direction: str) -> np.ndarray:
+        """One extreme, as :meth:`_extremes` returns it."""
+        up, down = self._extremes(obj)
+        return up if direction == "max" else down
 
     @abc.abstractmethod
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -109,10 +167,9 @@ class FiniteSet(RowSet):
     def size(self) -> int:
         return self.rows.shape[0]
 
-    def _best_row(self, v, direction):
-        dots = self.rows @ v
-        idx = int(np.argmax(dots)) if direction == "max" else int(np.argmin(dots))
-        return self.rows[idx].copy()
+    def _extremes(self, obj):
+        dots = self.rows @ obj.lifted()
+        return self.rows[int(np.argmax(dots))], self.rows[int(np.argmin(dots))]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -146,21 +203,17 @@ class GraphDegreeSet(RowSet):
     def d(self) -> int:
         return self.dim
 
-    def _best_row(self, v, direction):
-        row = np.zeros(self.dim)
-        if direction == "max":
-            if self.sense == "at_least":
-                return np.ones(self.dim)
-            # ones on the n largest components; stable sort keeps ties in
-            # index order
-            top = np.argsort(-v, kind="stable")[: self.n]
-            row[top] = 1.0
-            return row
+    def _extremes(self, obj):
+        # At most n ones: the maximum puts them on the n largest components,
+        # the minimum is the empty row.  At least n ones: the maximum is the
+        # full row, the minimum keeps the n smallest components.
         if self.sense == "at_most":
-            return row
-        low = np.argsort(v, kind="stable")[: self.n]
-        row[low] = 1.0
-        return row
+            up = np.zeros(self.dim)
+            up[obj.descending()[: self.n]] = 1.0
+            return up, np.zeros(self.dim)
+        down = np.zeros(self.dim)
+        down[obj.ascending()[: self.n]] = 1.0
+        return np.ones(self.dim), down
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -197,21 +250,24 @@ class L1Ball(RowSet):
     def d(self) -> int:
         return self.center.shape[0]
 
-    def _best_row(self, v, direction):
-        x = self.center.copy()
-        if direction == "max":
-            # The whole budget on the single most valuable coordinate is
-            # optimal: objective gain is linear in each coordinate's share.
-            x[int(np.argmax(v))] += self.radius
-            return x
-        budget = self.radius
-        for j in np.argsort(-v, kind="stable"):
-            if v[j] <= 0.0 or budget <= 0.0:
-                break
-            cut = min(x[j], budget)
-            x[j] -= cut
-            budget -= cut
-        return x
+    def _extremes(self, obj):
+        v = obj.v
+        # The whole budget on the single most valuable coordinate is
+        # optimal: objective gain is linear in each coordinate's share.
+        up = self.center.copy()
+        up[int(np.argmax(v))] += self.radius
+        # The minimum removes mass from the coordinates of positive v in
+        # decreasing order of v until the budget runs out.  budget[m] is
+        # what remains before coordinate m, subtracted in that same order,
+        # so it is the sequential loop's budget to the last bit; coordinate
+        # m keeps what exceeds it, and nothing once it is spent.
+        live = obj.descending()[: np.count_nonzero(v > 0.0)]
+        mass = self.center[live]
+        budget = np.subtract.accumulate(np.concatenate(([self.radius], mass)))
+        down = self.center.copy()
+        down[live] = np.where(budget[:-1] > 0.0,
+                              np.maximum(mass - budget[:-1], 0.0), mass)
+        return up, down
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -246,12 +302,17 @@ class HalfspacePoly(RowSet):
     def d(self) -> int:
         return self.normals.shape[1]
 
-    def _best_row(self, v, direction):
+    def _extremes(self, obj):
+        return self._pick(obj, "max"), self._pick(obj, "min")
+
+    def _pick(self, obj, direction):
+        # Selecting the minimum alone runs no LP, so it leaves the warm-start
+        # basis, and with it every later maximum, as it was.
         if direction == "min":
             # v >= 0 and the origin is feasible, so it attains the minimum.
             return np.zeros(self.d)
         lp = LinearProgram(
-            objective=v,
+            objective=obj.v,
             normals=self.normals,
             rhs=np.ones(self.normals.shape[0]),
             lo=np.zeros(self.d),
@@ -304,13 +365,13 @@ class Ellipsoid(RowSet):
     def d(self) -> int:
         return self.center.shape[0]
 
-    def _best_row(self, v, direction):
+    def _extremes(self, obj):
         # Maximize (v, c + r D u) over ||u|| <= 1 with D = diag(axes): the
         # optimal u is Dv normalized, so the step is r * axes^2 * v scaled by
-        # 1 / ||axes * v||.
-        w = self.axes * v
+        # 1 / ||axes * v||; the minimum steps the other way.
+        w = self.axes * obj.v
         step = self.radius * self.axes * w / float(np.linalg.norm(w))
-        return self.center + step if direction == "max" else self.center - step
+        return self.center + step, self.center - step
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -350,11 +411,17 @@ class BlendedSet(RowSet):
     def d(self) -> int:
         return self.inner.d
 
-    def _best_row(self, v, direction):
-        # The anchor term is constant over the set, so the blend of the inner
-        # optimum is the blended set's optimum.
-        a = self.inner.best_row(v, direction)
+    # The anchor term is constant over the set, so the blend of the inner
+    # optimum is the blended set's optimum.
+    def _blend(self, a):
         return (1.0 - self.weight) * a + self.weight * self.anchor
+
+    def _extremes(self, obj):
+        up, down = self.inner._extremes(obj)
+        return self._blend(up), self._blend(down)
+
+    def _pick(self, obj, direction):
+        return self._blend(self.inner._pick(obj, direction))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -402,9 +469,29 @@ class ProductFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
+    def extremes(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """The maximizing and the minimizing member against v, as a pair
+        (up, down) of new d x d matrices: row i of each is the best and the
+        worst row of set i, with the tie rules of the module docstring.
+
+        ``v`` is validated once for the whole family; every set is visited
+        once.
+        """
+        obj = _Objective(v, self.d)
+        up = np.empty((self.d, self.d))
+        down = np.empty((self.d, self.d))
+        for i, rs in enumerate(self.sets):
+            up[i], down[i] = rs._extremes(obj)
+        return up, down
+
     def best_matrix(self, v, direction: str = "max") -> np.ndarray:
         """Matrix assembled from each set's best row against v."""
-        return np.vstack([rs.best_row(v, direction) for rs in self.sets])
+        _check_direction(direction)
+        obj = _Objective(v, self.d)
+        out = np.empty((self.d, self.d))
+        for i, rs in enumerate(self.sets):
+            out[i] = rs._pick(obj, direction)
+        return out
 
     def contains_matrix(self, A, tol: float = 1e-9) -> bool:
         A = np.asarray(A, dtype=float)

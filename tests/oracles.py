@@ -230,6 +230,123 @@ def ellipsoid_residual(center, radius, axes, x):
 
 
 # ---------------------------------------------------------------------------
+# per-row oracles one set and one direction at a time, as the library ran
+# them before its family kernels shared one pass over the sets
+
+
+def finite_best_row(rows, v, direction):
+    """Scan the candidate rows; the first extremal one wins."""
+    dots = rows @ v
+    idx = int(np.argmax(dots)) if direction == "max" else int(np.argmin(dots))
+    return rows[idx].copy()
+
+
+def graph_best_row(dim, n, sense, v, direction):
+    """0/1 row with its own argsort of v; ties go to the lowest index."""
+    row = np.zeros(dim)
+    if direction == "max":
+        if sense == "at_least":
+            return np.ones(dim)
+        row[np.argsort(-v, kind="stable")[:n]] = 1.0
+        return row
+    if sense == "at_most":
+        return row
+    row[np.argsort(v, kind="stable")[:n]] = 1.0
+    return row
+
+
+def l1ball_best_row(center, radius, v, direction):
+    """The maximum on the first best coordinate; the minimum by the
+    sequential loop that cuts the most valuable coordinates first."""
+    x = np.array(center, dtype=float)
+    if direction == "max":
+        x[int(np.argmax(v))] += radius
+        return x
+    budget = radius
+    for j in np.argsort(-v, kind="stable"):
+        if v[j] <= 0.0 or budget <= 0.0:
+            break
+        cut = min(x[j], budget)
+        x[j] -= cut
+        budget -= cut
+    return x
+
+
+def ellipsoid_best_row(center, radius, axes, v, direction):
+    w = axes * v
+    step = radius * axes * w / float(np.linalg.norm(w))
+    return center + step if direction == "max" else center - step
+
+
+def reference_best_row(rs, v, direction):
+    """The per-row oracle for any non-LP set of the library, by its type."""
+    from spectral_optim import BlendedSet, Ellipsoid, FiniteSet, GraphDegreeSet, L1Ball
+
+    v = np.asarray(v, dtype=float)
+    if isinstance(rs, FiniteSet):
+        return finite_best_row(rs.rows, v, direction)
+    if isinstance(rs, GraphDegreeSet):
+        return graph_best_row(rs.dim, rs.n, rs.sense, v, direction)
+    if isinstance(rs, L1Ball):
+        return l1ball_best_row(rs.center, rs.radius, v, direction)
+    if isinstance(rs, Ellipsoid):
+        return ellipsoid_best_row(rs.center, rs.radius, rs.axes, v, direction)
+    if isinstance(rs, BlendedSet):
+        a = reference_best_row(rs.inner, v, direction)
+        return (1.0 - rs.weight) * a + rs.weight * rs.anchor
+    raise TypeError(f"no reference for {type(rs).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# bound aggregation, one row at a time
+
+
+def upper_from_dots_loop(v, dots, zero_tol):
+    """max_i dots_i / v_i; +inf when a vanishing v_i still sees mass, 0/0
+    rows skipped, +inf when no component qualifies."""
+    best = -np.inf
+    for i in range(v.shape[0]):
+        if v[i] > zero_tol:
+            best = max(best, dots[i] / v[i])
+        elif dots[i] > 0.0:
+            return float("inf")
+    return float("inf") if best == -np.inf else float(best)
+
+
+def lower_from_dots_loop(v, dots, zero_tol):
+    """min_i dots_i / v_i over the components above zero_tol, else +inf."""
+    best = np.inf
+    for i in range(v.shape[0]):
+        if v[i] > zero_tol:
+            best = min(best, dots[i] / v[i])
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# the random family generator with one stream call per draw kind
+
+
+def generate_random_family_rows(d, set_size, density_interval, seed):
+    """Candidate rows of ``gen.generate_random_family``, drawn with three
+    stream calls per set (plus the density draw) in the documented layout."""
+    from spectral_optim.gen import CounterStream
+
+    lo, hi = float(density_interval[0]), float(density_interval[1])
+    stream = CounterStream(seed)
+    out = []
+    for _ in range(d):
+        gamma = lo + (hi - lo) * float(stream.uniform_open_closed(1)[0])
+        checks = stream.uniform_half_open(set_size * d).reshape(set_size, d)
+        mags = stream.uniform_open_closed(set_size * d).reshape(set_size, d)
+        fallback = stream.uniform_open_closed(set_size)
+        rows = np.where(checks < gamma, mags, 0.0)
+        dead = ~np.any(rows > 0.0, axis=1)
+        rows[dead, 0] = fallback[dead]
+        out.append(rows)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the worked 3x3 fixture, spelled out once for every test file
 
 

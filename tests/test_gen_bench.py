@@ -26,6 +26,8 @@ from spectral_optim.gen import (
 )
 from spectral_optim.rows import FiniteSet, HalfspacePoly
 
+from oracles import generate_random_family_rows
+
 
 # ----------------------------------------------------------------- the PRNG
 
@@ -106,6 +108,20 @@ def test_fixed_draw_layout_aligns_sparse_and_positive_runs():
                 continue
             np.testing.assert_array_equal(row_s[nz], row_p[nz])
     assert fallback_rows <= 2
+
+
+@pytest.mark.parametrize("d, n, density, seed", [
+    (1, 1, (0.09, 0.15), 0),
+    (5, 3, (0.3, 0.7), 11),
+    (6, 4, (1.0, 1.0), 9),
+    (4, 3, (0.01, 0.02), 1),
+    (17, 2, (0.05, 0.2), 9013),
+    (40, 7, (0.0, 1.0), 2 ** 64 - 1),
+])
+def test_generator_matches_the_three_call_layout_bit_for_bit(d, n, density, seed):
+    fam = generate_random_family(d, n, density, seed=seed)
+    want = generate_random_family_rows(d, n, density, seed)
+    assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want]
 
 
 def test_no_candidate_row_is_all_zero_even_at_tiny_density():

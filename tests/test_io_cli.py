@@ -225,6 +225,31 @@ def test_cli_errors_exit_2_with_diagnostic(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["sets"][0].pop("rows"), "sets[0] (finite): missing key 'rows'"),
+    (lambda obj: obj["sets"][1].pop("n"), "sets[1] (graph): missing key 'n'"),
+    (lambda obj: obj["sets"][2].pop("radius"), "sets[2] (l1ball): missing key 'radius'"),
+    (lambda obj: obj["sets"][2].pop("type"), "sets[2]: missing key 'type'"),
+    (lambda obj: obj["sets"].__setitem__(1, [1, 2]),
+     "sets[1]: expected a JSON object, got list"),
+    (lambda obj: obj.pop("sets"), "family file: missing key 'sets'"),
+])
+def test_cli_names_the_missing_key_of_a_family_file(tmp_path, capsys, edit, message):
+    obj = family_to_dict(_mixed_family())
+    edit(obj)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(obj))
+    assert main(["optimize", "--family", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_names_the_missing_key_of_a_matrix_file(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"d": 2}))
+    assert main(["stabilize", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err == "error: matrix file: missing key 'rows'\n"
+
+
 def test_cli_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["optimize", "--family", "x.json", "--method", "newton"])

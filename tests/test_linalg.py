@@ -11,9 +11,20 @@ from spectral_optim import (
     selected_eigenpair,
     upper_bound_s,
 )
-from spectral_optim.linalg import check_matrix, check_vector
+from spectral_optim.linalg import (
+    _lower_from_dots,
+    _upper_from_dots,
+    check_matrix,
+    check_vector,
+)
 
-from oracles import eig_rho, fixture_rows, perturbed_leading_vector
+from oracles import (
+    eig_rho,
+    fixture_rows,
+    lower_from_dots_loop,
+    perturbed_leading_vector,
+    upper_from_dots_loop,
+)
 
 TIGHT = PowerConfig(eps=1e-12)
 
@@ -115,6 +126,54 @@ def test_upper_bound_infinite_on_vanishing_component():
     family = ProductFamily((FiniteSet(np.array([[0.0, 1.0]])),
                             FiniteSet(np.array([[0.0, 1.0]]))))
     assert upper_bound_s(np.array([0.0, 1.0]), family) == np.inf
+
+
+def test_bounds_skip_zero_over_zero_rows():
+    # Row 1's component vanishes and its best row sees no mass: it is
+    # skipped by both bounds instead of making s infinite.
+    family = ProductFamily((FiniteSet(np.array([[2.0, 0.0]])),
+                            FiniteSet(np.array([[0.0, 3.0]]))))
+    v = np.array([1.0, 0.0])
+    assert upper_bound_s(v, family) == 2.0
+    assert lower_bound_t(v, family) == 2.0
+
+
+def test_bounds_are_infinite_when_no_component_qualifies():
+    family = ProductFamily((FiniteSet(np.array([[0.0, 0.0]])),
+                            FiniteSet(np.array([[0.0, 1.0]]))))
+    v = unit((1.0, 0.5))
+    assert upper_bound_s(v, family, zero_tol=1.0) == np.inf
+    assert lower_bound_t(v, family, zero_tol=1.0) == np.inf
+
+
+def test_bound_aggregation_matches_the_row_loop():
+    rng = np.random.default_rng(113)
+    for case in range(2000):
+        d = 1 + case % 9
+        v = rng.random(d) * (rng.random(d) < 0.7)
+        v[rng.random(d) < 0.2] = 1e-13
+        dots = rng.random(d) * (rng.random(d) < 0.6)
+        tol = [0.0, 1e-12, 0.3][case % 3]
+        assert (_upper_from_dots(v, dots, tol).hex()
+                == upper_from_dots_loop(v, dots, tol).hex())
+        assert (_lower_from_dots(v, dots, tol).hex()
+                == lower_from_dots_loop(v, dots, tol).hex())
+
+
+def test_bounds_agree_with_the_extreme_matrix_at_tiny_components():
+    # A tiny but live v_i turns one rounding step in (row, v) into a large
+    # step in the ratio: the bounds must divide the same product A @ v that
+    # the extreme matrices give, not a differently rounded per-row dot.
+    cases = (([[0.0, 1.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0]], (1.0, 2.0, 3.0, 1e-10)),
+             ([[1.5, 1.0]], (3.0, 5.96046448e-08)),
+             ([[3.0, 1.0, 0.0]], (1.12109375, 3.0, 1e-08)))
+    for rows, raw in cases:
+        v = unit(raw)
+        family = ProductFamily((FiniteSet(np.array(rows)),) * len(raw))
+        up = family.best_matrix(v, "max") @ v
+        down = family.best_matrix(v, "min") @ v
+        assert upper_bound_s(v, family) == np.max(up / v)
+        assert lower_bound_t(v, family) == np.min(down / v)
 
 
 def test_lower_bound_examples():

@@ -117,6 +117,42 @@ def test_matrix_signature_separates_shapes():
     assert matrix_signature(np.zeros((2, 2))) != matrix_signature(np.zeros((3, 3)))
 
 
+def _optimizer_keys(monkeypatch, run):
+    """Run ``run()`` and collect the cycle-check keys the optimizer computed."""
+    import importlib
+
+    module = importlib.import_module("spectral_optim.optimize")
+    keys = []
+    real = module._digest_of_rows
+
+    def spy(row_digests):
+        keys.append(real(row_digests))
+        return keys[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_digest_of_rows", spy)
+        res = run()
+    return res, keys
+
+
+def test_optimizer_cycle_key_is_the_matrix_signature(monkeypatch):
+    from spectral_optim.gen import generate_random_family
+
+    fam = generate_random_family(40, 20, (0.09, 0.15), seed=1)
+    cfg = OptimizerConfig(direction="min", record_iterates=True)
+    res, keys = _optimizer_keys(monkeypatch, lambda: optimize(fam, cfg))
+    assert res.iterations == 6
+    assert sum(len(r.rows_changed) for r in res.trace) > res.iterations
+    assert keys == [matrix_signature(A) for A in res.iterates]
+
+    cfg = OptimizerConfig(method="greedy", power=TIGHT, record_iterates=True)
+    res, keys = _optimizer_keys(monkeypatch, lambda: greedy(
+        demo.cycling_family(), cfg, eigenvector_fn=demo.adversarial_eigenvectors(),
+        initial_matrix=demo.cycling_initial_matrix()))
+    assert res.status == "cycle-detected"
+    assert keys == [matrix_signature(A) for A in res.iterates]
+
+
 def test_detect_cycle_on_revisit_without_progress():
     a, b = matrix_signature(SWAP_A), matrix_signature(BLAND)
     assert detect_cycle([a, b, a], [10.0, 10.0, 10.0])

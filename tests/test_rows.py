@@ -20,8 +20,10 @@ from oracles import (
     ellipsoid_sample_best,
     ellipsoid_support_value,
     fixture_rows,
+    l1ball_best_row,
     l1ball_lp_data,
     lp_vertex_oracle,
+    reference_best_row,
 )
 
 
@@ -213,6 +215,15 @@ def test_degenerate_objective_rejected():
         rs.best_row(np.array([1.0, -1.0]))
 
 
+def test_finite_scan_of_a_tiny_objective_has_no_false_ties():
+    # 0.5 * 5e-324 underflows to 0: scanned as given, row 1 would tie with
+    # row 0 and lose to it on index.
+    rs = FiniteSet(np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]))
+    for v in ([5e-324, 0.0], [1e-323, 0.0], [2.0 ** -1060, 0.0], [3.0, 0.0]):
+        np.testing.assert_array_equal(rs.best_row(np.array(v), "max"), [0.5, 0.0])
+        np.testing.assert_array_equal(rs.best_row(np.array(v), "min"), [0.0, 0.0])
+
+
 def test_set_validation():
     with pytest.raises(ValueError):
         FiniteSet(np.empty((0, 2)))
@@ -318,3 +329,120 @@ def test_halfspace_poly_shared_by_threads():
         assert got is not None
         for i, value in got.items():
             assert value == pytest.approx(want[i], rel=1e-12)
+
+
+# ------------------------------------------- family kernels against references
+
+def _kernel_case(rng, case):
+    """A family drawing on every non-LP set type, and a direction v on a
+    coarse grid, so that ties and zero components are common.  Among the
+    L1 balls are radius 0 and a radius equal to a prefix sum of the center
+    taken in decreasing order of v."""
+    d = 2 + case % 6
+    v = rng.integers(0, 4, d) / 4.0
+    if not np.any(v > 0.0):
+        v[case % d] = 0.5
+    center = rng.integers(0, 5, d) / 4.0
+    order = np.argsort(-v, kind="stable")
+    prefix = float(np.sum(center[order[: 1 + case % d]]))
+    axes = rng.random(d) + 0.5
+    n = 1 + case % d
+    pool = [
+        FiniteSet(rng.integers(0, 3, (3, d)) / 2.0),
+        GraphDegreeSet(d, n, "at_most"),
+        GraphDegreeSet(d, n, "at_least"),
+        L1Ball(center, 0.0),
+        L1Ball(center, prefix),
+        L1Ball(center, float(rng.integers(0, 12)) / 4.0),
+        Ellipsoid(axes * (1.0 + rng.random(d)), 0.5, axes),
+    ]
+    pool += [BlendedSet(rs, 0.25, np.eye(d)[(k + 1) % d]) for k, rs in enumerate(pool)]
+    return ProductFamily(tuple(pool[(case + i) % len(pool)] for i in range(d))), v
+
+
+def test_extremes_match_the_per_row_references_bit_for_bit():
+    rng = np.random.default_rng(110)
+    for case in range(400):
+        family, v = _kernel_case(rng, case)
+        up, down = family.extremes(v)
+        for direction, got in (("max", up), ("min", down)):
+            assert family.best_matrix(v, direction).tobytes() == got.tobytes()
+            for i, rs in enumerate(family.sets):
+                want = reference_best_row(rs, v, direction)
+                assert got[i].tobytes() == want.tobytes(), (case, i, direction)
+                assert rs.best_row(v, direction).tobytes() == want.tobytes()
+
+
+def test_l1ball_minimum_matches_the_sequential_loop():
+    rng = np.random.default_rng(111)
+    for case in range(4000):
+        d = 1 + case % 8
+        if case % 2:
+            v = rng.integers(0, 3, d) / 2.0
+            center = rng.integers(0, 4, d) / 4.0
+        else:
+            v = rng.random(d) * (rng.random(d) < 0.7)
+            center = rng.random(d) * (rng.random(d) < 0.8)
+        if not np.any(v > 0.0):
+            v[0] = 1.0
+        order = np.argsort(-v, kind="stable")
+        radius = [0.0, float(np.sum(center[order[: case % (d + 1)]])),
+                  float(rng.random() * 2.0 * np.sum(center) + 1e-3)][case % 3]
+        got = L1Ball(center, radius).best_row(v, "min")
+        want = l1ball_best_row(center, radius, v, "min")
+        assert got.tobytes() == want.tobytes(), (case, center, radius, v)
+
+
+def test_extremes_run_the_same_lp_sequence_as_best_row(monkeypatch):
+    import importlib
+
+    rows_module = importlib.import_module("spectral_optim.rows")
+    solved = []
+    real = rows_module.lp_optimize
+
+    def spy(lp, *args, **kwargs):
+        solved.append(lp.objective.tobytes())
+        return real(lp, *args, **kwargs)
+
+    monkeypatch.setattr(rows_module, "lp_optimize", spy)
+    rng = np.random.default_rng(112)
+    d = 6
+    normals = [rng.random((8, d)) / 2.0 for _ in range(d)]
+
+    def family():
+        sets = [HalfspacePoly(nm) for nm in normals]
+        sets[1::2] = [BlendedSet(rs, 0.25, np.eye(d)[0]) for rs in sets[1::2]]
+        return ProductFamily(tuple(sets))
+
+    kernel, per_row = family(), family()
+    for k in range(12):
+        v = rng.random(d) * (rng.random(d) < 0.7)
+        v[k % d] += 0.1
+        # Selecting the minimum alone runs no LP, so it moves no basis.
+        del solved[:]
+        kernel.best_matrix(v, "min")
+        assert solved == []
+        up, down = kernel.extremes(v)
+        assert solved == [v.tobytes()] * d
+        for i, rs in enumerate(per_row.sets):
+            assert up[i].tobytes() == rs.best_row(v, "max").tobytes()
+            assert down[i].tobytes() == rs.best_row(v, "min").tobytes()
+        assert solved == [v.tobytes()] * (2 * d)
+
+
+def test_best_row_hands_out_a_copy():
+    rows = np.array([[1.0, 2.0], [3.0, 0.0]])
+    rs = FiniteSet(rows)
+    rs.best_row(np.array([1.0, 1.0]))[:] = -1.0
+    assert np.array_equal(rs.rows, rows)
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, -1.0, 0.0]), np.zeros(3), np.ones(2)])
+def test_extremes_reject_what_best_row_rejects(bad):
+    rs = FiniteSet(np.eye(3))
+    family = ProductFamily((rs, rs, rs))
+    with pytest.raises(ValueError) as from_row:
+        rs.best_row(bad)
+    with pytest.raises(ValueError) as from_family:
+        family.extremes(bad)
+    assert str(from_family.value) == str(from_row.value)
