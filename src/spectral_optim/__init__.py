@@ -12,7 +12,6 @@ from .linalg import (
     Eigenpair,
     PowerConfig,
     PowerIterationError,
-    left_eigenvector,
     lower_bound_t,
     selected_eigenpair,
     upper_bound_s,
@@ -27,24 +26,18 @@ from .rows import (
     L1Ball,
     ProductFamily,
     RowSet,
-    best_row,
 )
 from .optimize import (
     IterationTrace,
     OptimizationResult,
     OptimizerConfig,
     TraceRow,
-    brute_force_optimum,
     contraction_factor,
-    detect_cycle,
-    greedy,
-    greedy_step,
     linear_rate_bound,
     matrix_signature,
     optimize,
     perturb_family,
     selective_greedy,
-    spectral_simplex,
 )
 from .apps import (
     DegreeSpec,
@@ -64,7 +57,6 @@ __all__ = [
     "Eigenpair",
     "PowerConfig",
     "PowerIterationError",
-    "left_eigenvector",
     "lower_bound_t",
     "selected_eigenpair",
     "upper_bound_s",
@@ -80,22 +72,16 @@ __all__ = [
     "L1Ball",
     "ProductFamily",
     "RowSet",
-    "best_row",
     "IterationTrace",
     "OptimizationResult",
     "OptimizerConfig",
     "TraceRow",
-    "brute_force_optimum",
     "contraction_factor",
-    "detect_cycle",
-    "greedy",
-    "greedy_step",
     "linear_rate_bound",
     "matrix_signature",
     "optimize",
     "perturb_family",
     "selective_greedy",
-    "spectral_simplex",
     "DegreeSpec",
     "StabilizationProblem",
     "closest_stable",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import PowerConfig
-from .optimize import OptimizationResult, OptimizerConfig, greedy, selective_greedy
+from .optimize import OptimizationResult, OptimizerConfig, optimize
 from .rows import FiniteSet, ProductFamily
 
 __all__ = [
@@ -93,9 +93,9 @@ def run_cycling_demo(eps: float = 1e-12) -> tuple[OptimizationResult, Optimizati
     fam = cycling_family()
     start = cycling_initial_matrix()
     power = PowerConfig(eps=eps)
-    g = greedy(fam, OptimizerConfig(method="greedy", power=power),
-               eigenvector_fn=adversarial_eigenvectors(), initial_matrix=start)
-    s = selective_greedy(fam, OptimizerConfig(power=power), initial_matrix=start)
+    g = optimize(fam, OptimizerConfig(method="greedy", power=power),
+                 eigenvector_fn=adversarial_eigenvectors(), initial_matrix=start)
+    s = optimize(fam, OptimizerConfig(power=power), initial_matrix=start)
     return g, s
 
 

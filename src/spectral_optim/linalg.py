@@ -1,10 +1,10 @@
 """Leading eigenpairs of non-negative matrices and a-posteriori spectral radius bounds.
 
-Everything here works on the shifted matrix A + I.  Adding the identity does
+The power method runs on the shifted matrix A + I.  Adding the identity does
 not change eigenvectors, moves the spectral radius to rho(A) + 1, and gives the
 iteration matrix a strictly positive diagonal, so the power method converges
 even when A itself is imprimitive (cyclic support) and no complex eigenvalue
-can tie the leading one in modulus.
+can tie the leading one in modulus.  The radius is then read off A itself.
 
 For reducible matrices the leading eigenvector is not unique.  The vector
 computed here is the *selected* one: the limit of Perron eigenvectors of
@@ -26,7 +26,6 @@ __all__ = [
     "check_matrix",
     "check_vector",
     "selected_eigenpair",
-    "left_eigenvector",
     "upper_bound_s",
     "lower_bound_t",
 ]
@@ -87,14 +86,11 @@ class Eigenpair:
         Euclidean norm.
     power_iters : int
         Number of power iterations spent.
-    u : numpy.ndarray or None
-        Left leading eigenvector, populated only on request.
     """
 
     rho: float
     v: np.ndarray
     power_iters: int
-    u: np.ndarray | None = None
 
 
 def check_matrix(A) -> np.ndarray:
@@ -165,13 +161,14 @@ def _rho_from_vector(A: np.ndarray, v: np.ndarray, threshold: float) -> float:
     return float(v @ Av)
 
 
-def selected_eigenpair(A, config: PowerConfig | None = None, *,
-                       compute_left: bool = False) -> Eigenpair:
+def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
     """Selected leading eigenpair of a non-negative square matrix.
 
-    Runs power iteration on A + I starting from the all-ones direction and
-    reports rho(A) = rho(A + I) - 1.  The returned eigenvector is entrywise
-    non-negative and normalized to unit Euclidean norm.
+    Runs power iteration on A + I starting from the all-ones direction.  The
+    returned eigenvector is entrywise non-negative and normalized to unit
+    Euclidean norm; rho is estimated from it on A itself, the product the
+    Collatz-Wielandt bounds divide.  The left eigenvector is the right one of
+    the transpose: ``selected_eigenpair(A.T).v``.
 
     Parameters
     ----------
@@ -179,8 +176,6 @@ def selected_eigenpair(A, config: PowerConfig | None = None, *,
         Square non-negative matrix.
     config : PowerConfig, optional
         Convergence parameters; defaults to ``PowerConfig()``.
-    compute_left : bool
-        Also compute the left leading eigenvector (stored in ``u``).
 
     Raises
     ------
@@ -190,31 +185,12 @@ def selected_eigenpair(A, config: PowerConfig | None = None, *,
     A = check_matrix(A)
     cfg = config or PowerConfig()
     d = A.shape[0]
-    B = A + np.eye(d)
-    v, iters = _power_vector(B, cfg.eps, cfg.resolve_max_iters(d))
+    v, iters = _power_vector(A + np.eye(d), cfg.eps, cfg.resolve_max_iters(d))
     # The iterate of a non-negative matrix from a positive start stays
     # non-negative; clip fp dust so downstream sign checks are exact.
     v = np.maximum(v, 0.0)
     v /= float(np.linalg.norm(v))
-    rho = _rho_from_vector(B, v, cfg.eps) - 1.0
-    if rho < 0.0:
-        rho = 0.0
-    u = None
-    if compute_left:
-        u_vec, _ = _power_vector(B.T, cfg.eps, cfg.resolve_max_iters(d))
-        u = np.maximum(u_vec, 0.0)
-        u /= float(np.linalg.norm(u))
-    return Eigenpair(rho=rho, v=v, power_iters=iters, u=u)
-
-
-def left_eigenvector(A, config: PowerConfig | None = None) -> np.ndarray:
-    """Selected left leading eigenvector (the right one of the transpose)."""
-    A = check_matrix(A)
-    cfg = config or PowerConfig()
-    v, _ = _power_vector(A.T + np.eye(A.shape[0]), cfg.eps,
-                         cfg.resolve_max_iters(A.shape[0]))
-    v = np.maximum(v, 0.0)
-    return v / float(np.linalg.norm(v))
+    return Eigenpair(rho=_rho_from_vector(A, v, cfg.eps), v=v, power_iters=iters)
 
 
 def _upper_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:

@@ -15,17 +15,18 @@ Methods differ only in which improvable rows they swap per iteration:
   method's limit from the all-ones start), which is what rules out cycling
   on families with reducible members.
 
-The greedy variant accepts an ``eigenvector_fn`` hook that substitutes an
-arbitrary leading eigenvector; it exists so tests and the demo can reproduce
-the cycling phenomenon that selected eigenvectors avoid.
+:func:`optimize` runs every method.  With ``method="greedy"`` it accepts an
+``eigenvector_fn`` hook that substitutes an arbitrary leading eigenvector; it
+exists so tests and the demo can reproduce the cycling phenomenon that
+selected eigenvectors avoid.  :func:`selective_greedy` is the paper's method
+under its own name.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .linalg import (
     PowerIterationError,
     check_matrix,
     check_vector,
-    left_eigenvector,
     selected_eigenpair,
     _lower_from_dots,
     _rho_from_vector,
@@ -55,15 +55,10 @@ __all__ = [
     "TraceRow",
     "IterationTrace",
     "OptimizationResult",
-    "greedy_step",
     "selective_greedy",
-    "greedy",
-    "spectral_simplex",
     "optimize",
     "matrix_signature",
-    "detect_cycle",
     "perturb_family",
-    "brute_force_optimum",
     "linear_rate_bound",
     "contraction_factor",
 ]
@@ -222,33 +217,6 @@ def matrix_signature(A, quantum: float = 1e-12) -> bytes:
     return _digest_of_rows(_row_digests(A, quantum))
 
 
-def detect_cycle(signatures, rhos, delta: float = 1e-10,
-                 direction: str = "max") -> bool:
-    """Whether the latest iterate closes a cycle.
-
-    True iff the last signature appeared earlier in the run and the objective
-    has not improved by more than ``delta`` since that occurrence.  A
-    revisited matrix with genuine progress in between is not a cycle.
-    """
-    signatures = list(signatures)
-    rhos = [float(r) for r in rhos]
-    if len(signatures) != len(rhos):
-        raise ValueError("signatures and rhos must have equal length")
-    if len(signatures) < 2:
-        return False
-    last = signatures[-1]
-    for j in range(len(signatures) - 1):
-        if signatures[j] == last:
-            window = rhos[j:]
-            if direction == "max":
-                improvement = max(window) - rhos[j]
-            else:
-                improvement = rhos[j] - min(window)
-            if improvement <= delta:
-                return True
-    return False
-
-
 def _apply_step(A, v, cand, direction, delta, kind, zero_tol):
     """Swap improvable rows of A for candidates per the method's rule."""
     new_dots = cand @ v
@@ -277,46 +245,25 @@ def _apply_step(A, v, cand, direction, delta, kind, zero_tol):
     return A_next, tuple(int(i) for i in chosen)
 
 
-def greedy_step(A, v, family: ProductFamily, direction: str = "max",
-                delta: float = 1e-10) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One greedy pass: replace every row whose best achievable inner product
-    against v improves on the current one by at least ``delta``.
-
-    Returns the updated matrix and the tuple of changed row indices (empty
-    when A is already a fixed point for v).
-    """
-    A = check_matrix(A)
-    v = check_vector(v, family.d)
-    if A.shape[0] != family.d:
-        raise ValueError("matrix size does not match the family")
-    cand = family.best_matrix(v, direction)
-    return _apply_step(A, v, cand, direction, delta, "greedy", 1e-12)
-
-
 def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
-    if eigenvector_fn is not None:
-        hv = eigenvector_fn(A)
-        if hv is not None:
-            v = check_vector(hv, A.shape[0])
-            nrm = float(np.linalg.norm(v))
-            if nrm == 0.0:
-                raise ValueError("eigenvector_fn returned a zero vector")
-            v = v / nrm
-            rho = _rho_from_vector(A + np.eye(A.shape[0]), v, cfg.power.eps) - 1.0
-            return v, max(rho, 0.0)
-    try:
-        pair = selected_eigenpair(A, cfg.power)
-    except PowerIterationError as exc:
-        # A near-tie between leading eigenvalues can exhaust the budget (the
-        # A + I shift makes tiny gaps excruciating).  The last iterate is an
-        # accurate direction long before the tolerance is met, and the
-        # two-sided bounds are valid for any positive vector, so the outer
-        # loop can continue honestly with it.
-        v = np.maximum(exc.last_iterate, 0.0)
-        v /= float(np.linalg.norm(v))
-        rho = _rho_from_vector(A + np.eye(A.shape[0]), v, cfg.power.eps) - 1.0
-        return v, max(rho, 0.0)
-    return pair.v, pair.rho
+    v = eigenvector_fn(A) if eigenvector_fn is not None else None
+    if v is None:
+        try:
+            pair = selected_eigenpair(A, cfg.power)
+            return pair.v, pair.rho
+        except PowerIterationError as exc:
+            # A near-tie between leading eigenvalues can exhaust the budget
+            # (the A + I shift makes tiny gaps excruciating).  The last
+            # iterate is an accurate direction long before the tolerance is
+            # met, and the two-sided bounds are valid for any positive
+            # vector, so the outer loop can continue honestly with it.
+            v = np.maximum(exc.last_iterate, 0.0)
+    v = check_vector(v, A.shape[0])
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        raise ValueError("eigenvector_fn returned a zero vector")
+    v = v / nrm
+    return v, _rho_from_vector(A, v, cfg.power.eps)
 
 
 def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
@@ -362,7 +309,8 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         contraction = None
         if cfg.record_contraction and changed:
             try:
-                contraction = contraction_factor(left_eigenvector(A_next, cfg.power), v)
+                u = selected_eigenpair(A_next.T, cfg.power).v
+                contraction = contraction_factor(u, v)
             except (ValueError, PowerIterationError):
                 contraction = None
         trace.append(TraceRow(k, rho, s, t, changed,
@@ -469,94 +417,34 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     return res
 
 
-def _with_method(config: OptimizerConfig | None, method: str) -> OptimizerConfig:
-    if config is None:
-        return OptimizerConfig(method=method)
-    if config.method != method:
-        return replace(config, method=method)
-    return config
-
-
-def selective_greedy(family: ProductFamily, config: OptimizerConfig | None = None,
-                     *, initial_matrix=None) -> OptimizationResult:
-    """Greedy relaxation driven by selected eigenvectors (never cycles)."""
-    cfg = _with_method(config, "selective-greedy")
-    return _drive(family, cfg, None, initial_matrix)
-
-
-def greedy(family: ProductFamily, config: OptimizerConfig | None = None,
-           *, eigenvector_fn=None, initial_matrix=None) -> OptimizationResult:
-    """Greedy relaxation; ``eigenvector_fn`` may substitute the eigenvector.
-
-    The hook receives the current matrix and returns a non-negative leading
-    eigenvector or None to fall back to the selected one.  With adversarial
-    eigenvector choices the plain greedy method can cycle on families with
-    reducible members; that is exactly what the hook exists to demonstrate.
-    """
-    cfg = _with_method(config, "greedy")
-    return _drive(family, cfg, eigenvector_fn, initial_matrix)
-
-
-def spectral_simplex(family: ProductFamily, config: OptimizerConfig | None = None,
-                     *, initial_matrix=None) -> OptimizationResult:
-    """One-row-per-iteration relaxation (smallest-index or pivot rule)."""
-    cfg = config or OptimizerConfig(method="simplex-smallest-index")
-    if _METHODS[cfg.method] not in ("smallest-index", "pivot"):
-        cfg = replace(cfg, method="simplex-smallest-index")
-    return _drive(family, cfg, None, initial_matrix)
-
-
 def optimize(family: ProductFamily, config: OptimizerConfig | None = None,
              *, eigenvector_fn=None, initial_matrix=None) -> OptimizationResult:
-    """Dispatch on ``config.method``; the hook is honored by greedy only."""
+    """Run ``config.method`` from ``initial_matrix`` (default: the family's
+    best member against the all-ones vector).
+
+    ``eigenvector_fn`` is honored by the greedy method only.  It receives the
+    current matrix and returns a non-negative leading eigenvector, or None to
+    fall back to the selected one.  With adversarial eigenvector choices the
+    plain greedy method can cycle on families with reducible members; that
+    is exactly what the hook exists to demonstrate.
+    """
     cfg = config or OptimizerConfig()
     if eigenvector_fn is not None and cfg.method != "greedy":
         raise ValueError("eigenvector_fn is only honored by the greedy method")
     return _drive(family, cfg, eigenvector_fn, initial_matrix)
 
 
-def brute_force_optimum(family: ProductFamily, direction: str = "max",
-                        max_members: int = 1_000_000) -> tuple[np.ndarray, float]:
-    """Exact optimum by enumerating every member of a finite family.
+def selective_greedy(family: ProductFamily, config: OptimizerConfig | None = None,
+                     *, initial_matrix=None) -> OptimizationResult:
+    """Greedy relaxation driven by selected eigenvectors (never cycles).
 
-    All row sets must be :class:`FiniteSet` and the member count must not
-    exceed ``max_members``.  Spectral radii are computed with a dense
-    eigenvalue solver, which keeps this route independent of the iterative
-    methods it serves as an oracle for.  Ties keep the first member in
-    lexicographic row-index order.
+    The paper's method: :func:`optimize` with the default method.  A config
+    naming another method is refused, not rewritten.
     """
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    sizes = []
-    for i, rs in enumerate(family.sets):
-        if not isinstance(rs, FiniteSet):
-            raise TypeError(f"sets[{i}] is not finite; brute force needs finite sets")
-        sizes.append(rs.size)
-    total = int(np.prod([float(n) for n in sizes]))
-    if float(np.prod([float(n) for n in sizes])) > max_members:
-        raise ValueError(f"family has more than {max_members} members")
-    d = family.d
-    sign = 1.0 if direction == "max" else -1.0
-    best_rho = -np.inf
-    best_idx = None
-    chunk = 4096
-    combos = itertools.product(*[range(n) for n in sizes])
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=int)
-        M = np.empty((idx.shape[0], d, d))
-        for i in range(d):
-            M[:, i, :] = family.sets[i].rows[idx[:, i]]
-        radii = np.abs(np.linalg.eigvals(M)).max(axis=1)
-        pos = int(np.argmax(sign * radii))
-        if sign * radii[pos] > best_rho:
-            best_rho = sign * radii[pos]
-            best_idx = idx[pos]
-    assert best_idx is not None and total > 0
-    A = np.vstack([family.sets[i].rows[best_idx[i]] for i in range(d)])
-    return A, float(sign * best_rho)
+    cfg = config or OptimizerConfig()
+    if cfg.method != "selective-greedy":
+        raise ValueError(f"selective_greedy cannot run method {cfg.method!r}")
+    return _drive(family, cfg, None, initial_matrix)
 
 
 def linear_rate_bound(family: ProductFamily) -> float:

@@ -59,7 +59,6 @@ __all__ = [
     "Ellipsoid",
     "BlendedSet",
     "ProductFamily",
-    "best_row",
 ]
 
 
@@ -498,8 +497,3 @@ class ProductFamily:
         if A.shape != (self.d, self.d):
             return False
         return all(rs.contains(A[i], tol) for i, rs in enumerate(self.sets))
-
-
-def best_row(row_set: RowSet, v, direction: str = "max") -> np.ndarray:
-    """Functional alias for :meth:`RowSet.best_row`."""
-    return row_set.best_row(v, direction)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from spectral_optim import (Ellipsoid, OptimizerConfig, PowerConfig,
-                            ProductFamily, FiniteSet, greedy,
+                            ProductFamily, FiniteSet,
                             linear_rate_bound, optimize, selective_greedy)
 from spectral_optim.apps import (DegreeSpec, StabilizationProblem,
                                  closest_stable, optimize_graph)
@@ -224,10 +224,10 @@ def test_criterion_07_contraction_within_linear_rate():
         fam = ProductFamily(tuple(
             FiniteSet(0.2 + 0.8 * rng.random((n_rows, d))) for _ in range(d)))
         q = linear_rate_bound(fam)
-        low = greedy(fam, OptimizerConfig(direction="min",
-                                          power=PowerConfig(eps=1e-12)))
-        res = greedy(fam, OptimizerConfig(power=PowerConfig(eps=1e-12)),
-                     initial_matrix=low.matrix)
+        power = PowerConfig(eps=1e-12)
+        low = optimize(fam, OptimizerConfig(direction="min", method="greedy", power=power))
+        res = optimize(fam, OptimizerConfig(method="greedy", power=power),
+                       initial_matrix=low.matrix)
         assert res.status == "optimal", (t, res.status)
         rho_star = res.rho
         rhos = [row.rho for row in res.trace]

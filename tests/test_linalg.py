@@ -6,7 +6,6 @@ from spectral_optim import (
     PowerConfig,
     PowerIterationError,
     ProductFamily,
-    left_eigenvector,
     lower_bound_t,
     selected_eigenpair,
     upper_bound_s,
@@ -65,21 +64,21 @@ def test_fixture_eigenpairs(A, rho, v):
     assert np.all(pair.v >= 0.0)
 
 
+def _left(A):
+    """Left eigenvector: the selected right one of the transpose."""
+    return selected_eigenpair(np.asarray(A).T, TIGHT).v
+
+
 def test_left_eigenvector_examples():
-    assert np.allclose(left_eigenvector(np.array([[0.0, 1.0], [1.0, 0.0]]), TIGHT),
+    assert np.allclose(_left(np.array([[0.0, 1.0], [1.0, 0.0]])),
                        unit((1.0, 1.0)), atol=1e-10)
-    assert np.allclose(left_eigenvector(np.eye(4), TIGHT),
-                       np.full(4, 0.5), atol=1e-12)
+    assert np.allclose(_left(np.eye(4)), np.full(4, 0.5), atol=1e-12)
     # A4's first row decouples index 0 from the rest on the transpose side.
-    assert np.allclose(left_eigenvector(A4, TIGHT), (1.0, 0.0, 0.0), atol=1e-8)
-
-
-def test_compute_left_populates_u():
-    pair = selected_eigenpair(A4, TIGHT, compute_left=True)
-    assert pair.u is not None
-    assert np.linalg.norm(pair.u) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(pair.u @ A4 - pair.rho * pair.u)) < 1e-7
-    assert selected_eigenpair(A4, TIGHT).u is None
+    u = _left(A4)
+    assert np.allclose(u, (1.0, 0.0, 0.0), atol=1e-8)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    rho = selected_eigenpair(A4, TIGHT).rho
+    assert np.max(np.abs(u @ A4 - rho * u)) < 1e-7
 
 
 def test_residual_and_norm_on_random_matrices():

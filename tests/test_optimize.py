@@ -1,5 +1,8 @@
 """Optimizer tests: greedy steps, cycle handling, statuses, traces, brute force.
 
+Every method runs through ``optimize`` (or ``selective_greedy``); single
+steps and the cycle rule are observed on the driver's trace and iterates.
+
 Expected values were computed by hand (dot products against pinned
 eigenvectors, closed-form radii of the small fixtures) or by the
 eigendecomposition/enumeration oracles in oracles.py, then frozen.
@@ -13,17 +16,12 @@ from oracles import brute_family_optimum, eig_rho, fixture_rows
 from spectral_optim.linalg import PowerConfig
 from spectral_optim.optimize import (
     OptimizerConfig,
-    brute_force_optimum,
     contraction_factor,
-    detect_cycle,
-    greedy,
-    greedy_step,
     linear_rate_bound,
     matrix_signature,
     optimize,
     perturb_family,
     selective_greedy,
-    spectral_simplex,
 )
 from spectral_optim.rows import (
     BlendedSet,
@@ -62,37 +60,43 @@ def _random_finite_family(rng, d, n, density=0.6):
     return ProductFamily(tuple(sets))
 
 
-# ---------------------------------------------------------------- greedy_step
+# ---------------------------------------------------------------- greedy step
+
+def _greedy_step(X, v, direction="max"):
+    """The driver's first greedy step from X against the pinned vector v:
+    returns the matrix after it and the rows it changed."""
+    cfg = OptimizerConfig(method="greedy", direction=direction, max_outer_iters=2,
+                          record_iterates=True)
+    res = optimize(demo.cycling_family(), cfg, eigenvector_fn=lambda A: v,
+                   initial_matrix=X)
+    return res.iterates[-1], res.trace[0].rows_changed
+
 
 def test_greedy_step_swaps_every_improvable_row():
-    fam = demo.cycling_family()
     v = np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0)
-    A_next, changed = greedy_step(BLAND, v, fam)
+    A_next, changed = _greedy_step(BLAND, v)
     assert changed == (0, 1, 2)
     np.testing.assert_array_equal(A_next, SWAP_A)
 
 
 def test_greedy_step_single_improvable_row():
-    fam = demo.cycling_family()
     v = np.array([3.0, 2.0, 2.0]) / np.linalg.norm([3.0, 2.0, 2.0])
-    A_next, changed = greedy_step(SWAP_A, v, fam)
+    A_next, changed = _greedy_step(SWAP_A, v)
     assert changed == (0,)
     np.testing.assert_array_equal(A_next[0], [12.0, 0.0, 0.0])
     np.testing.assert_array_equal(A_next[1:], SWAP_A[1:])
 
 
 def test_greedy_step_fixed_point_returns_empty_tuple():
-    fam = demo.cycling_family()
     v = np.array([49.0, 5.0, 6.0]) / np.linalg.norm([49.0, 5.0, 6.0])
-    A_next, changed = greedy_step(OPTIMUM, v, fam)
+    A_next, changed = _greedy_step(OPTIMUM, v)
     assert changed == ()
     np.testing.assert_array_equal(A_next, OPTIMUM)
 
 
 def test_greedy_step_min_direction():
-    fam = demo.cycling_family()
     v = np.array([49.0, 5.0, 6.0]) / np.linalg.norm([49.0, 5.0, 6.0])
-    A_next, changed = greedy_step(OPTIMUM, v, fam, direction="min")
+    A_next, changed = _greedy_step(OPTIMUM, v, direction="min")
     assert changed == (0, 1, 2)
     np.testing.assert_array_equal(A_next, [[1.0, 1.0, 1.0],
                                            [0.0, 10.0, 0.0],
@@ -100,9 +104,9 @@ def test_greedy_step_min_direction():
 
 
 def test_greedy_step_rejects_mismatched_matrix():
-    fam = demo.cycling_family()
-    with pytest.raises(ValueError):
-        greedy_step(np.eye(2), np.ones(3) / np.sqrt(3.0), fam)
+    cfg = OptimizerConfig(method="greedy")
+    with pytest.raises(ValueError, match="size"):
+        optimize(demo.cycling_family(), cfg, initial_matrix=np.eye(2))
 
 
 # ------------------------------------------------- signatures and cycle check
@@ -146,32 +150,93 @@ def test_optimizer_cycle_key_is_the_matrix_signature(monkeypatch):
     assert keys == [matrix_signature(A) for A in res.iterates]
 
     cfg = OptimizerConfig(method="greedy", power=TIGHT, record_iterates=True)
-    res, keys = _optimizer_keys(monkeypatch, lambda: greedy(
+    res, keys = _optimizer_keys(monkeypatch, lambda: optimize(
         demo.cycling_family(), cfg, eigenvector_fn=demo.adversarial_eigenvectors(),
         initial_matrix=demo.cycling_initial_matrix()))
     assert res.status == "cycle-detected"
     assert keys == [matrix_signature(A) for A in res.iterates]
 
 
+SWAP_B = np.array([[0.0, 10.0, 5.0],
+                   [0.0, 10.0, 0.0],
+                   [0.0, 0.0, 10.0]])
+
+
+def _scripted_hook(script):
+    """eigenvector_fn returning ``script[name][n]`` on the n-th visit of the
+    matrix ``name`` ('A' is SWAP_A, 'B' is SWAP_B), the last entry once the
+    script runs out, and the selected eigenvector elsewhere."""
+    visits = {"A": 0, "B": 0}
+
+    def hook(X):
+        for name, M in (("A", SWAP_A), ("B", SWAP_B)):
+            if np.array_equal(X, M):
+                vs = script[name]
+                v = vs[min(visits[name], len(vs) - 1)]
+                visits[name] += 1
+                return np.asarray(v, dtype=float)
+        return None
+
+    return hook
+
+
+# Vectors that steer the minimizing step from SWAP_A to SWAP_B and back.
+# They are not eigenvectors; the cycle rule only sees the matrices and
+# their radius estimates (10 at both).
+MIN_TO_B = (20.0, 0.9, 1.0)
+MIN_TO_A = (20.0, 1.0, 0.9)
+
+
+def _greedy_run(direction, hook, start, max_outer_iters=1000):
+    cfg = OptimizerConfig(method="greedy", direction=direction, power=TIGHT,
+                          max_outer_iters=max_outer_iters)
+    return optimize(demo.cycling_family(), cfg, eigenvector_fn=hook,
+                    initial_matrix=start)
+
+
 def test_detect_cycle_on_revisit_without_progress():
-    a, b = matrix_signature(SWAP_A), matrix_signature(BLAND)
-    assert detect_cycle([a, b, a], [10.0, 10.0, 10.0])
-    assert detect_cycle([a, b, a], [3.0, 3.0, 3.0], direction="min")
+    res = _greedy_run("max", demo.adversarial_eigenvectors(), SWAP_A)
+    assert res.status == "cycle-detected"
+    assert [r.rows_changed for r in res.trace] == [(0,), (0,), ()]
+    assert res.trace.rhos == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
+
+    res = _greedy_run("min", _scripted_hook({"A": [MIN_TO_B], "B": [MIN_TO_A]}), SWAP_A)
+    assert res.status == "cycle-detected"
+    assert [r.rows_changed for r in res.trace] == [(0,), (0,), ()]
+    assert res.trace.rhos == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
 
 
 def test_detect_cycle_ignores_revisits_after_progress():
-    a, b = matrix_signature(SWAP_A), matrix_signature(BLAND)
-    assert not detect_cycle([a, b, a], [1.0, 2.0, 3.0])
-    assert not detect_cycle([a, b, a], [3.0, 2.0, 1.0], direction="min")
+    # On its second visit SWAP_A is given a vector whose radius estimate
+    # (max ratio 20 / 1.9) exceeds the first visit's 10: no cycle there.
+    # The step still flips row 0, and SWAP_B's unchanged revisit closes the
+    # cycle one pass later.
+    hook = _scripted_hook({"A": [(2.0, 2.0, 1.0), (1.9, 2.0, 1.0)],
+                           "B": [(2.0, 1.0, 2.0)]})
+    res = _greedy_run("max", hook, SWAP_A)
+    assert res.status == "cycle-detected"
+    assert [r.rows_changed for r in res.trace] == [(0,), (0,), (0,), ()]
+    assert res.trace[2].rho == pytest.approx(20.0 / 1.9, abs=1e-12)
+
+    # Minimizing, the second visit's vector (1, 0, 0) estimates 0 and is a
+    # fixed point: the revisit ends the run as optimal, not as a cycle.
+    hook = _scripted_hook({"A": [MIN_TO_B, (1.0, 0.0, 0.0)], "B": [MIN_TO_A]})
+    res = _greedy_run("min", hook, SWAP_A)
+    assert res.status == "optimal"
+    assert [r.rows_changed for r in res.trace] == [(0,), (0,), ()]
+    assert res.trace[2].rho == 0.0
 
 
 def test_detect_cycle_needs_a_repeat():
-    a, b = matrix_signature(SWAP_A), matrix_signature(BLAND)
-    c = matrix_signature(OPTIMUM)
-    assert not detect_cycle([a, b, c], [1.0, 1.0, 1.0])
-    assert not detect_cycle([a], [1.0])
-    with pytest.raises(ValueError):
-        detect_cycle([a, b], [1.0])
+    # SWAP_A and SWAP_B share the radius 10, yet reaching SWAP_B after
+    # SWAP_A is no cycle: only the first repeated matrix (pass 4) is.
+    hook = demo.adversarial_eigenvectors()
+    res = _greedy_run("max", hook, BLAND, max_outer_iters=3)
+    assert res.status == "max-iters"
+    assert res.trace.rhos[1:] == pytest.approx([10.0, 10.0], abs=1e-12)
+    res = _greedy_run("max", hook, BLAND)
+    assert res.status == "cycle-detected"
+    assert res.iterations == 4
 
 
 # ------------------------------------------------------------- fixture runs
@@ -205,7 +270,7 @@ def test_selective_greedy_min_on_fixture():
 
 def test_simplex_smallest_index_walks_rows_in_order():
     cfg = OptimizerConfig(method="simplex-smallest-index", power=TIGHT)
-    res = spectral_simplex(demo.cycling_family(), cfg)
+    res = optimize(demo.cycling_family(), cfg)
     assert res.status == "optimal"
     assert res.rho == pytest.approx(12.0, abs=1e-9)
     assert [r.rows_changed for r in res.trace] == [(0,), (1,), (2,), ()]
@@ -239,7 +304,7 @@ def test_cycling_demo_pins_both_outcomes():
 
 def test_greedy_without_hook_escapes_the_trap():
     cfg = OptimizerConfig(method="greedy", power=TIGHT)
-    res = greedy(demo.cycling_family(), cfg, initial_matrix=demo.cycling_initial_matrix())
+    res = optimize(demo.cycling_family(), cfg, initial_matrix=demo.cycling_initial_matrix())
     assert res.status == "optimal"
     assert res.rho == pytest.approx(12.0, abs=1e-9)
     assert res.iterations == 4
@@ -342,6 +407,20 @@ def test_traces_are_monotone_across_methods(direction):
                 assert np.all(diffs <= 1e-12)
 
 
+def test_rho_stays_inside_its_own_bound_on_sparse_families():
+    # The 500 sparse families of acceptance criterion 9.  The radius and the
+    # bound of its direction divide the same product A v at a fixed point,
+    # so they are ordered exactly, with no slack.
+    from spectral_optim.gen import generate_random_family
+
+    for t in range(500):
+        fam = generate_random_family(2 + t % 29, 1 + t % 3, (0.05, 0.2), seed=9000 + t)
+        res = optimize(fam, OptimizerConfig(direction="max"))
+        assert res.rho <= res.bounds[1], (t, "max", res.rho, res.bounds)
+        res = optimize(fam, OptimizerConfig(direction="min"))
+        assert res.bounds[0] <= res.rho, (t, "min", res.rho, res.bounds)
+
+
 def test_record_iterates_keeps_every_visited_matrix():
     cfg = OptimizerConfig(power=TIGHT, record_iterates=True)
     res = selective_greedy(demo.cycling_family(), cfg)
@@ -376,8 +455,12 @@ def test_optimize_rejects_hook_outside_greedy():
 
 def test_simplex_alias_and_method_coercion():
     assert OptimizerConfig(method="simplex").method == "simplex-smallest-index"
-    res = spectral_simplex(demo.cycling_family(), OptimizerConfig(method="greedy", power=TIGHT))
-    assert res.method == "simplex-smallest-index"
+    # selective_greedy refuses a config for another method instead of
+    # rewriting it; optimize runs the method the config names.
+    with pytest.raises(ValueError, match="simplex-pivot"):
+        selective_greedy(demo.cycling_family(), OptimizerConfig(method="simplex-pivot"))
+    res = optimize(demo.cycling_family(), OptimizerConfig(method="greedy", power=TIGHT))
+    assert res.method == "greedy"
 
 
 def test_config_validation():
@@ -449,40 +532,21 @@ def test_perturbed_fixture_still_reaches_the_optimum():
 # --------------------------------------------------------------- brute force
 
 def test_brute_force_on_fixture_both_directions():
-    fam = demo.cycling_family()
-    A_max, rho_max = brute_force_optimum(fam, "max")
+    A_max, rho_max = brute_family_optimum(fixture_rows(), "max")
     assert rho_max == pytest.approx(12.0, abs=1e-9)
     np.testing.assert_array_equal(A_max, OPTIMUM)
-    A_min, rho_min = brute_force_optimum(fam, "min")
+    A_min, rho_min = brute_family_optimum(fixture_rows(), "min")
     assert rho_min == pytest.approx(4.0, abs=1e-9)
     np.testing.assert_array_equal(A_min, BLAND)
-    # agrees with the independent enumeration oracle
-    _, oracle_max = brute_family_optimum(fixture_rows(), "max")
-    _, oracle_min = brute_family_optimum(fixture_rows(), "min")
-    assert rho_max == pytest.approx(oracle_max, abs=1e-12)
-    assert rho_min == pytest.approx(oracle_min, abs=1e-12)
 
 
 def test_brute_force_ties_keep_first_member():
-    fam = _finite_family([
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-    ])
+    rows = [[[1.0, 0.0], [0.0, 1.0]],
+            [[0.0, 1.0], [1.0, 0.0]]]
     for direction in ("max", "min"):
-        A, rho = brute_force_optimum(fam, direction)
+        A, rho = brute_family_optimum(rows, direction)
         assert rho == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(A, np.eye(2))
-
-
-def test_brute_force_guards():
-    big = ProductFamily(tuple(FiniteSet(np.eye(21)[[0, 1]]) for _ in range(21)))
-    with pytest.raises(ValueError, match="more than"):
-        brute_force_optimum(big)
-    mixed = ProductFamily((FiniteSet(np.eye(2)), L1Ball(np.ones(2), 0.5)))
-    with pytest.raises(TypeError, match="finite"):
-        brute_force_optimum(mixed)
-    with pytest.raises(ValueError):
-        brute_force_optimum(demo.cycling_family(), "sideways")
 
 
 def test_methods_agree_with_brute_force_on_random_families():

@@ -9,7 +9,6 @@ from spectral_optim import (
     HalfspacePoly,
     L1Ball,
     ProductFamily,
-    best_row,
     lp_optimize,
     LinearProgram,
 )
@@ -253,7 +252,7 @@ def test_product_family():
     assert not family.contains_matrix(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ProductFamily((FiniteSet(np.array([[1.0, 0.0]])),))  # 1 set for d=2
-    assert np.array_equal(best_row(family.sets[0], np.array([3.0, 2.0, 2.0])),
+    assert np.array_equal(family.sets[0].best_row(np.array([3.0, 2.0, 2.0])),
                           (12.0, 0.0, 0.0))
 
 
