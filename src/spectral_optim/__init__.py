@@ -18,7 +18,6 @@ from .linalg import (
 )
 from .lp import LinearProgram, LPInfeasibleError, LPUnboundedError, lp_optimize
 from .rows import (
-    BlendedSet,
     Ellipsoid,
     FiniteSet,
     GraphDegreeSet,
@@ -36,7 +35,6 @@ from .optimize import (
     linear_rate_bound,
     matrix_signature,
     optimize,
-    perturb_family,
     selective_greedy,
 )
 from .apps import (
@@ -64,7 +62,6 @@ __all__ = [
     "LPInfeasibleError",
     "LPUnboundedError",
     "lp_optimize",
-    "BlendedSet",
     "Ellipsoid",
     "FiniteSet",
     "GraphDegreeSet",
@@ -80,7 +77,6 @@ __all__ = [
     "linear_rate_bound",
     "matrix_signature",
     "optimize",
-    "perturb_family",
     "selective_greedy",
     "DegreeSpec",
     "StabilizationProblem",

@@ -42,7 +42,6 @@ class BenchSpec:
     direction: str = "max"
     method: str = "selective-greedy"
     kind: str = "finite"
-    config: OptimizerConfig | None = None
 
     def __post_init__(self):
         if not self.dims or not self.set_sizes:
@@ -51,11 +50,6 @@ class BenchSpec:
             raise ValueError("trials must be positive")
         if self.kind not in ("finite", "poly"):
             raise ValueError(f"kind must be 'finite' or 'poly', got {self.kind!r}")
-
-    def optimizer_config(self) -> OptimizerConfig:
-        if self.config is not None:
-            return self.config
-        return OptimizerConfig(direction=self.direction, method=self.method)
 
 
 @dataclass
@@ -89,7 +83,7 @@ def _one_trial(spec: BenchSpec, d: int, set_size: int, trial: int):
         fam = generate_random_family(d, set_size, spec.density_interval, trial_seed)
     else:
         fam = generate_random_poly_family(d, set_size, trial_seed)
-    cfg = spec.optimizer_config()
+    cfg = OptimizerConfig(direction=spec.direction, method=spec.method)
     t0 = time.perf_counter()
     res = optimize(fam, cfg)
     return res.iterations, time.perf_counter() - t0

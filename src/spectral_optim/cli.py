@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["selective-greedy", "greedy", "simplex", "simplex-pivot"])
     p.add_argument("--kind", choices=["finite", "poly"], default="finite")
     p.add_argument("--threads", type=int, default=None,
-                   help="thread cap (default: SPECTRAL_OPTIM_THREADS or CPU count)")
+                   help="thread cap (default: CPU count)")
     p.add_argument("--csv", help="write the sweep results here")
 
     sub.add_parser("demo-cycling",
@@ -110,8 +110,8 @@ def _cmd_optimize(args) -> int:
     print(f"rho = {_num(res.rho)}, status = {res.status}, iters = {res.iterations}")
     t, s = res.bounds
     print(f"bounds: t = {_num(t)}, s = {_num(s)}")
-    if res.rho_perturbed is not None:
-        print(f"rho (perturbed retry) = {_num(res.rho_perturbed)}")
+    if res.perturbed_result is not None:
+        print(f"rho (perturbed retry) = {_num(res.perturbed_result.rho)}")
     if args.trace:
         io_mod.write_trace_csv(res.trace, args.trace)
     if args.out:

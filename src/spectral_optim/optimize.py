@@ -40,15 +40,7 @@ from .linalg import (
     _rho_from_vector,
     _upper_from_dots,
 )
-from .rows import (
-    BlendedSet,
-    Ellipsoid,
-    FiniteSet,
-    GraphDegreeSet,
-    L1Ball,
-    ProductFamily,
-    RowSet,
-)
+from .rows import ProductFamily
 
 __all__ = [
     "OptimizerConfig",
@@ -58,7 +50,6 @@ __all__ = [
     "selective_greedy",
     "optimize",
     "matrix_signature",
-    "perturb_family",
     "linear_rate_bound",
     "contraction_factor",
 ]
@@ -177,8 +168,8 @@ class OptimizationResult:
     ``bounds`` is the pair (t, s): certified lower and upper bounds on the
     family's minimal and maximal spectral radius computed at the reported
     eigenvector.  ``iterations`` counts every outer pass, including the final
-    confirming one.  When the reducibility remedy ran, ``rho_perturbed`` and
-    ``perturbed_result`` carry the perturbed family's outcome.
+    confirming one.  When the reducibility remedy ran, ``perturbed_result``
+    carries the outcome of the run on the blended family.
     """
 
     matrix: np.ndarray
@@ -190,7 +181,6 @@ class OptimizationResult:
     method: str
     eigenvector: np.ndarray
     iterations: int
-    rho_perturbed: float | None = None
     perturbed_result: "OptimizationResult | None" = None
     iterates: list[np.ndarray] | None = None
 
@@ -217,10 +207,9 @@ def matrix_signature(A, quantum: float = 1e-12) -> bytes:
     return _digest_of_rows(_row_digests(A, quantum))
 
 
-def _apply_step(A, v, cand, direction, delta, kind, zero_tol):
-    """Swap improvable rows of A for candidates per the method's rule."""
-    new_dots = cand @ v
-    old_dots = A @ v
+def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind, zero_tol):
+    """Swap improvable rows of A for candidates per the method's rule;
+    ``new_dots`` and ``old_dots`` are ``cand @ v`` and ``A @ v``."""
     gain = new_dots - old_dots if direction == "max" else old_dots - new_dots
     improvable = np.flatnonzero(gain >= delta)
     if improvable.size == 0:
@@ -266,16 +255,17 @@ def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
     return v, _rho_from_vector(A, v, cfg.power.eps)
 
 
-def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
-         initial_matrix=None) -> OptimizationResult:
-    d = family.d
-    if initial_matrix is not None:
-        A = check_matrix(initial_matrix)
-        if A.shape[0] != d:
-            raise ValueError("initial matrix size does not match the family")
-        A = A.copy()
-    else:
-        A = family.best_matrix(np.ones(d), cfg.direction)
+def _bounds(v, up_dots, down_dots, own_dots, zero_tol) -> tuple[float, float]:
+    """Bounds (t, s) at v.  The current matrix's rows are family members, so
+    its own dots may enter both; where the oracle rebuilds one of them with
+    other last bits (an LP vertex), they keep t <= rho <= s exact."""
+    return (_lower_from_dots(v, np.minimum(down_dots, own_dots), zero_tol),
+            _upper_from_dots(v, np.maximum(up_dots, own_dots), zero_tol))
+
+
+def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:
+    """Relax from the start matrix A against the row oracle ``extremes``,
+    which maps v to the family's maximizing and minimizing members."""
     step_kind = _METHODS[cfg.method]
     sign = 1.0 if cfg.direction == "max" else -1.0
     row_digests = _row_digests(A)
@@ -288,9 +278,9 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
         v, rho = _eigen(A, cfg, eigenvector_fn)
-        up, down = family.extremes(v)
-        s = _upper_from_dots(v, up @ v, cfg.zero_tol)
-        t = _lower_from_dots(v, down @ v, cfg.zero_tol)
+        up, down = extremes(v)
+        up_dots, down_dots, own_dots = up @ v, down @ v, A @ v
+        t, s = _bounds(v, up_dots, down_dots, own_dots, cfg.zero_tol)
         if iterates is not None:
             iterates.append(A.copy())
         last = (A, v, rho, s, t)
@@ -303,9 +293,9 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
             status = STATUS_CYCLE
             break
         seen[sig] = rho
-        cand = up if cfg.direction == "max" else down
-        A_next, changed = _apply_step(A, v, cand, cfg.direction, cfg.delta,
-                                      step_kind, cfg.zero_tol)
+        cand, new_dots = (up, up_dots) if cfg.direction == "max" else (down, down_dots)
+        A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
+                                      cfg.delta, step_kind, cfg.zero_tol)
         contraction = None
         if cfg.record_contraction and changed:
             try:
@@ -340,87 +330,55 @@ def _run(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         eigenvector=v_r.copy(), iterations=len(trace), iterates=iterates)
 
 
-def _cycle_anchor(d: int, i: int) -> np.ndarray:
-    p = np.zeros(d)
-    p[(i + 1) % d] = 1.0
-    return p
-
-
-def perturb_family(family: ProductFamily, alpha: float) -> ProductFamily:
-    """Blend every row set with the matching row of a cyclic permutation.
-
-    Each admissible row a of set i becomes (1 - alpha) a + alpha p_i where
-    p_i is the unit row pointing at column (i + 1) mod d.  The support of
-    every member then contains a full cycle, so every member is irreducible.
-    Finite, L1-ball and ellipsoid sets map onto the same variant; the rest
-    are wrapped in :class:`BlendedSet`.  ``alpha = 0`` returns the family
-    unchanged.
-    """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must be in [0, 1)")
-    if alpha == 0.0:
-        return family
-    d = family.d
-    out: list[RowSet] = []
-    for i, rs in enumerate(family.sets):
-        p = _cycle_anchor(d, i)
-        if isinstance(rs, FiniteSet):
-            out.append(FiniteSet((1.0 - alpha) * rs.rows + alpha * p))
-        elif isinstance(rs, L1Ball):
-            out.append(L1Ball((1.0 - alpha) * rs.center + alpha * p,
-                              (1.0 - alpha) * rs.radius))
-        elif isinstance(rs, Ellipsoid):
-            out.append(Ellipsoid((1.0 - alpha) * rs.center + alpha * p,
-                                 (1.0 - alpha) * rs.radius, rs.axes))
-        else:
-            out.append(BlendedSet(rs, alpha, p))
-    return ProductFamily(tuple(out))
-
-
-def _pull_back_matrix(family: ProductFamily, X_pert: np.ndarray,
-                      alpha: float) -> np.ndarray:
-    """Map a perturbed-family member back onto the original family."""
-    d = family.d
-    rows = np.empty((d, d))
-    for i, rs in enumerate(family.sets):
-        raw = (X_pert[i] - alpha * _cycle_anchor(d, i)) / (1.0 - alpha)
-        raw = np.maximum(raw, 0.0)
-        if isinstance(rs, FiniteSet):
-            raw = rs.rows[int(np.argmin(np.max(np.abs(rs.rows - raw), axis=1)))]
-        elif isinstance(rs, GraphDegreeSet):
-            raw = np.clip(np.rint(raw), 0.0, 1.0)
-        rows[i] = raw
-    return rows
-
-
 def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
            initial_matrix=None) -> OptimizationResult:
-    res = _run(family, cfg, eigenvector_fn, initial_matrix)
-    if res.status != STATUS_REDUCIBLE or cfg.reducibility_alpha == 0.0:
+    d = family.d
+    if initial_matrix is not None:
+        A = check_matrix(initial_matrix)
+        if A.shape[0] != d:
+            raise ValueError("initial matrix size does not match the family")
+        A = A.copy()
+    else:
+        A = family.best_matrix(np.ones(d), cfg.direction)
+    res = _run(family.extremes, A, cfg, eigenvector_fn)
+    alpha = cfg.reducibility_alpha
+    if res.status != STATUS_REDUCIBLE or alpha == 0.0:
         return res
-    # Retry on the perturbed (irreducible) family, then pull its optimum back
-    # into the original family and keep the better of the two honest values.
-    pert = perturb_family(family, cfg.reducibility_alpha)
-    retry = _run(pert, cfg)
-    res.rho_perturbed = retry.rho
+    # Retry on the family blended with the cyclic anchor rows P[i, (i+1) % d]:
+    # every blended member contains a full cycle, so it is irreducible.  The
+    # anchor term is constant over each set, so the blended oracle is the
+    # blend of the family's own.
+    P = np.roll(np.eye(d), 1, axis=1)
+
+    def blend(M):
+        return (1.0 - alpha) * M + alpha * P
+
+    def blended_extremes(v):
+        up, down = family.extremes(v)
+        return blend(up), blend(down)
+
+    retry = _run(blended_extremes,
+                 blend(family.best_matrix(np.ones(d), cfg.direction)), cfg)
     res.perturbed_result = retry
-    X = _pull_back_matrix(family, retry.matrix, cfg.reducibility_alpha)
+    # Pull back: the family's best member against the retry's eigenvector.
+    # Only a maximization stalls as reducible, so the larger radius wins.
+    X = family.extremes(retry.eigenvector)[0]
     v, rho = _eigen(X, cfg, None)
-    sign = 1.0 if cfg.direction == "max" else -1.0
-    if sign * (rho - res.rho) > 0:
+    if rho > res.rho:
         up, down = family.extremes(v)
         res.matrix = X
         res.rho = rho
         res.eigenvector = v
-        res.bounds = (float(_lower_from_dots(v, down @ v, cfg.zero_tol)),
-                      float(_upper_from_dots(v, up @ v, cfg.zero_tol)))
+        res.bounds = _bounds(v, up @ v, down @ v, X @ v, cfg.zero_tol)
     return res
 
 
 def optimize(family: ProductFamily, config: OptimizerConfig | None = None,
              *, eigenvector_fn=None, initial_matrix=None) -> OptimizationResult:
     """Run ``config.method`` from ``initial_matrix`` (default: the family's
-    best member against the all-ones vector).
+    best member against the all-ones vector).  The current matrix's rows
+    enter the bounds, so they certify the family only when
+    ``initial_matrix`` is a member of it.
 
     ``eigenvector_fn`` is honored by the greedy method only.  It receives the
     current matrix and returns a non-negative leading eigenvector, or None to

@@ -57,7 +57,6 @@ __all__ = [
     "L1Ball",
     "HalfspacePoly",
     "Ellipsoid",
-    "BlendedSet",
     "ProductFamily",
 ]
 
@@ -383,59 +382,6 @@ class Ellipsoid(RowSet):
         lo = float(np.min(self.center - self.radius * self.axes))
         hi = float(np.max(self.center + self.radius * self.axes))
         return lo, hi
-
-
-@dataclass(frozen=True, eq=False)
-class BlendedSet(RowSet):
-    """Rows of an inner set convexly blended with a fixed anchor row:
-    {(1 - weight) * a + weight * anchor : a in inner}.
-
-    Used to make every member of a family irreducible by mixing in a cyclic
-    permutation row; variants that are not closed under the blend are wrapped
-    in this adapter.
-    """
-
-    inner: RowSet
-    weight: float
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        if not (0.0 <= self.weight < 1.0):
-            raise ValueError("weight must be in [0, 1)")
-        anchor = check_vector(self.anchor, self.inner.d)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "weight", float(self.weight))
-
-    @property
-    def d(self) -> int:
-        return self.inner.d
-
-    # The anchor term is constant over the set, so the blend of the inner
-    # optimum is the blended set's optimum.
-    def _blend(self, a):
-        return (1.0 - self.weight) * a + self.weight * self.anchor
-
-    def _extremes(self, obj):
-        up, down = self.inner._extremes(obj)
-        return self._blend(up), self._blend(down)
-
-    def _pick(self, obj, direction):
-        return self._blend(self.inner._pick(obj, direction))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            return False
-        a = (x - self.weight * self.anchor) / (1.0 - self.weight)
-        return self.inner.contains(a, tol / (1.0 - self.weight))
-
-    def entry_range(self):
-        lo, hi = self.inner.entry_range()
-        w = self.weight
-        return (
-            (1.0 - w) * lo + w * float(self.anchor.min()),
-            (1.0 - w) * hi + w * float(self.anchor.max()),
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,7 +280,7 @@ def ellipsoid_best_row(center, radius, axes, v, direction):
 
 def reference_best_row(rs, v, direction):
     """The per-row oracle for any non-LP set of the library, by its type."""
-    from spectral_optim import BlendedSet, Ellipsoid, FiniteSet, GraphDegreeSet, L1Ball
+    from spectral_optim import Ellipsoid, FiniteSet, GraphDegreeSet, L1Ball
 
     v = np.asarray(v, dtype=float)
     if isinstance(rs, FiniteSet):
@@ -291,9 +291,6 @@ def reference_best_row(rs, v, direction):
         return l1ball_best_row(rs.center, rs.radius, v, direction)
     if isinstance(rs, Ellipsoid):
         return ellipsoid_best_row(rs.center, rs.radius, rs.axes, v, direction)
-    if isinstance(rs, BlendedSet):
-        a = reference_best_row(rs.inner, v, direction)
-        return (1.0 - rs.weight) * a + rs.weight * rs.anchor
     raise TypeError(f"no reference for {type(rs).__name__}")
 
 

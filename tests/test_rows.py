@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spectral_optim import (
-    BlendedSet,
     Ellipsoid,
     FiniteSet,
     GraphDegreeSet,
@@ -73,15 +72,6 @@ def test_halfspace_poly_vertex():
     rs = HalfspacePoly(np.array([[1.0, 1.0]]))
     row = rs.best_row(np.array([2.0, 1.0]))
     assert np.allclose(row, (1.0, 0.0), atol=1e-10)
-
-
-def test_blended_set_delegates():
-    inner = FiniteSet(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    anchor = np.array([0.0, 1.0])
-    rs = BlendedSet(inner, 0.25, anchor)
-    got = rs.best_row(np.array([1.0, 0.1]))
-    assert np.allclose(got, 0.75 * np.array([2.0, 0.0]) + 0.25 * anchor, atol=1e-12)
-    assert rs.contains(got)
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
@@ -238,8 +228,6 @@ def test_set_validation():
         L1Ball(np.array([1.0, 1.0]), -0.5)
     with pytest.raises(ValueError):
         Ellipsoid(np.array([1.0, 1.0]), 2.0, np.array([1.0, 1.0]))  # leaves the orthant
-    with pytest.raises(ValueError):
-        BlendedSet(FiniteSet(np.eye(2)), 1.0, np.zeros(2))
 
 
 def test_product_family():
@@ -355,7 +343,6 @@ def _kernel_case(rng, case):
         L1Ball(center, float(rng.integers(0, 12)) / 4.0),
         Ellipsoid(axes * (1.0 + rng.random(d)), 0.5, axes),
     ]
-    pool += [BlendedSet(rs, 0.25, np.eye(d)[(k + 1) % d]) for k, rs in enumerate(pool)]
     return ProductFamily(tuple(pool[(case + i) % len(pool)] for i in range(d))), v
 
 
@@ -409,9 +396,7 @@ def test_extremes_run_the_same_lp_sequence_as_best_row(monkeypatch):
     normals = [rng.random((8, d)) / 2.0 for _ in range(d)]
 
     def family():
-        sets = [HalfspacePoly(nm) for nm in normals]
-        sets[1::2] = [BlendedSet(rs, 0.25, np.eye(d)[0]) for rs in sets[1::2]]
-        return ProductFamily(tuple(sets))
+        return ProductFamily(tuple(HalfspacePoly(nm) for nm in normals))
 
     kernel, per_row = family(), family()
     for k in range(12):
