@@ -27,11 +27,9 @@ from .rows import (
     RowSet,
 )
 from .optimize import (
-    IterationTrace,
     OptimizationResult,
     OptimizerConfig,
     TraceRow,
-    contraction_factor,
     linear_rate_bound,
     matrix_signature,
     optimize,
@@ -69,11 +67,9 @@ __all__ = [
     "L1Ball",
     "ProductFamily",
     "RowSet",
-    "IterationTrace",
     "OptimizationResult",
     "OptimizerConfig",
     "TraceRow",
-    "contraction_factor",
     "linear_rate_bound",
     "matrix_signature",
     "optimize",

@@ -121,8 +121,9 @@ def _clip_to_radius(X: np.ndarray, A: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _inner_config(config: OptimizerConfig | None, direction: str) -> OptimizerConfig:
-    cfg = config or OptimizerConfig()
-    return replace(cfg, direction=direction, method="selective-greedy")
+    """The caller's config with the bisection's direction; a method other
+    than selective greedy is refused by the inner runs, not rewritten."""
+    return replace(config or OptimizerConfig(), direction=direction)
 
 
 def _bisect(A: np.ndarray, lo: float, hi: float, X_hi: np.ndarray,

@@ -42,6 +42,9 @@ class BenchSpec:
     direction: str = "max"
     method: str = "selective-greedy"
     kind: str = "finite"
+    # Built once here, so a bad direction or method fails at construction
+    # rather than in every trial.
+    _config: OptimizerConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dims or not self.set_sizes:
@@ -50,6 +53,8 @@ class BenchSpec:
             raise ValueError("trials must be positive")
         if self.kind not in ("finite", "poly"):
             raise ValueError(f"kind must be 'finite' or 'poly', got {self.kind!r}")
+        object.__setattr__(self, "_config", OptimizerConfig(direction=self.direction,
+                                                            method=self.method))
 
 
 @dataclass
@@ -83,9 +88,8 @@ def _one_trial(spec: BenchSpec, d: int, set_size: int, trial: int):
         fam = generate_random_family(d, set_size, spec.density_interval, trial_seed)
     else:
         fam = generate_random_poly_family(d, set_size, trial_seed)
-    cfg = OptimizerConfig(direction=spec.direction, method=spec.method)
     t0 = time.perf_counter()
-    res = optimize(fam, cfg)
+    res = optimize(fam, spec._config)
     return res.iterations, time.perf_counter() - t0
 
 
@@ -149,11 +153,12 @@ def format_table(cells: list[BenchCell], spec: BenchSpec) -> str:
 
 
 def write_csv(cells: list[BenchCell], path, spec: BenchSpec) -> None:
-    """CSV with '#' metadata comment lines, then one row per grid cell."""
+    """CSV with '#' metadata comment lines, then one row per grid cell;
+    ``fail`` counts the cell's failed trials, which the means exclude."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in _metadata_lines(spec):
             fh.write(f"# {line}\n")
-        fh.write("d,N,mean_iters,mean_time_s,trials,seed\n")
+        fh.write("d,N,mean_iters,mean_time_s,trials,seed,fail\n")
         for c in cells:
             fh.write(f"{c.d},{c.set_size},{c.mean_iters!r},"
-                     f"{c.mean_time_s!r},{c.trials},{c.seed}\n")
+                     f"{c.mean_time_s!r},{c.trials},{c.seed},{c.failures}\n")

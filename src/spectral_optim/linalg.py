@@ -30,6 +30,11 @@ __all__ = [
     "lower_bound_t",
 ]
 
+# An eigenvector component at or below this counts as zero: the bounds skip
+# or penalize its row, and the optimizer's pivot scores and reducibility test
+# read it the same way.
+ZERO_TOL = 1e-12
+
 
 class PowerIterationError(RuntimeError):
     """Power method did not converge within the iteration budget.
@@ -213,7 +218,7 @@ def _lower_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:
     return float(np.min(dots[live] / v[live]))
 
 
-def upper_bound_s(v, family, zero_tol: float = 1e-12) -> float:
+def upper_bound_s(v, family, zero_tol: float = ZERO_TOL) -> float:
     """A-posteriori upper bound s on the maximal spectral radius.
 
     For each row index, s_i is the largest achievable (row, v) divided by v_i.
@@ -230,7 +235,7 @@ def upper_bound_s(v, family, zero_tol: float = 1e-12) -> float:
     return _upper_from_dots(v, family.best_matrix(v, "max") @ v, zero_tol)
 
 
-def lower_bound_t(v, family, zero_tol: float = 1e-12) -> float:
+def lower_bound_t(v, family, zero_tol: float = ZERO_TOL) -> float:
     """A-posteriori lower bound t on the minimal spectral radius.
 
     Mirror image of :func:`upper_bound_s` with minimizing rows: t_i is the

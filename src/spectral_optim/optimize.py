@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    ZERO_TOL,
     PowerConfig,
     PowerIterationError,
     check_matrix,
@@ -45,13 +46,11 @@ from .rows import ProductFamily
 __all__ = [
     "OptimizerConfig",
     "TraceRow",
-    "IterationTrace",
     "OptimizationResult",
     "selective_greedy",
     "optimize",
     "matrix_signature",
     "linear_rate_bound",
-    "contraction_factor",
 ]
 
 _METHODS = {
@@ -85,9 +84,6 @@ class OptimizerConfig:
         current eigenvector is at least ``delta``; this blocks churn from
         floating-point ties and is the improvement threshold used by cycle
         detection.
-    zero_tol : float
-        Threshold below which an eigenvector component counts as zero (bound
-        conventions, reducibility detection).
     max_outer_iters : int
         Cap on row-update passes.
     reducibility_alpha : float
@@ -95,20 +91,18 @@ class OptimizerConfig:
         a degenerate (partially zero) eigenvector; 0 disables the retry.
     record_iterates : bool
         Keep a copy of every visited matrix on the result.
-    record_contraction : bool
-        Record the per-iteration contraction factor (needs one extra left
-        eigenvector computation per pass).
+
+    An eigenvector component at or below :data:`~spectral_optim.linalg.ZERO_TOL`
+    counts as zero in the bounds, the pivot scores and the reducibility test.
     """
 
     direction: str = "max"
     method: str = "selective-greedy"
     power: PowerConfig = field(default_factory=PowerConfig)
     delta: float = 1e-10
-    zero_tol: float = 1e-12
     max_outer_iters: int = 1000
     reducibility_alpha: float = 1e-8
     record_iterates: bool = False
-    record_contraction: bool = False
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -117,8 +111,8 @@ class OptimizerConfig:
             object.__setattr__(self, "method", "simplex-smallest-index")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.delta < 0 or self.zero_tol < 0:
-            raise ValueError("delta and zero_tol must be non-negative")
+        if self.delta < 0:
+            raise ValueError("delta must be non-negative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
         if not (0.0 <= self.reducibility_alpha < 1.0):
@@ -135,30 +129,6 @@ class TraceRow:
     t_bound: float
     rows_changed: tuple[int, ...]
     time_s: float
-    contraction: float | None = None
-
-
-@dataclass
-class IterationTrace:
-    """Chronological record of the outer iterations."""
-
-    rows: list[TraceRow] = field(default_factory=list)
-
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, key):
-        return self.rows[key]
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([r.rho for r in self.rows])
 
 
 @dataclass
@@ -167,15 +137,16 @@ class OptimizationResult:
 
     ``bounds`` is the pair (t, s): certified lower and upper bounds on the
     family's minimal and maximal spectral radius computed at the reported
-    eigenvector.  ``iterations`` counts every outer pass, including the final
-    confirming one.  When the reducibility remedy ran, ``perturbed_result``
+    eigenvector.  ``trace`` holds one :class:`TraceRow` per outer pass in
+    order, and ``iterations`` counts them, the final confirming pass
+    included.  When the reducibility remedy ran, ``perturbed_result``
     carries the outcome of the run on the blended family.
     """
 
     matrix: np.ndarray
     rho: float
     bounds: tuple[float, float]
-    trace: IterationTrace
+    trace: list[TraceRow]
     status: str
     direction: str
     method: str
@@ -207,7 +178,7 @@ def matrix_signature(A, quantum: float = 1e-12) -> bytes:
     return _digest_of_rows(_row_digests(A, quantum))
 
 
-def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind, zero_tol):
+def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
     """Swap improvable rows of A for candidates per the method's rule;
     ``new_dots`` and ``old_dots`` are ``cand @ v`` and ``A @ v``."""
     gain = new_dots - old_dots if direction == "max" else old_dots - new_dots
@@ -221,7 +192,7 @@ def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind, zero_tol
     else:  # pivot: extremal achievable ratio among improvable rows
         scores = np.empty(improvable.size)
         for pos, i in enumerate(improvable):
-            if v[i] > zero_tol:
+            if v[i] > ZERO_TOL:
                 scores[pos] = new_dots[i] / v[i]
             elif direction == "max":
                 scores[pos] = np.inf if new_dots[i] > 0 else -np.inf
@@ -255,12 +226,12 @@ def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
     return v, _rho_from_vector(A, v, cfg.power.eps)
 
 
-def _bounds(v, up_dots, down_dots, own_dots, zero_tol) -> tuple[float, float]:
+def _bounds(v, up_dots, down_dots, own_dots) -> tuple[float, float]:
     """Bounds (t, s) at v.  The current matrix's rows are family members, so
     its own dots may enter both; where the oracle rebuilds one of them with
     other last bits (an LP vertex), they keep t <= rho <= s exact."""
-    return (_lower_from_dots(v, np.minimum(down_dots, own_dots), zero_tol),
-            _upper_from_dots(v, np.maximum(up_dots, own_dots), zero_tol))
+    return (_lower_from_dots(v, np.minimum(down_dots, own_dots), ZERO_TOL),
+            _upper_from_dots(v, np.maximum(up_dots, own_dots), ZERO_TOL))
 
 
 def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:
@@ -270,7 +241,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     sign = 1.0 if cfg.direction == "max" else -1.0
     row_digests = _row_digests(A)
     seen: dict[bytes, float] = {}
-    trace = IterationTrace()
+    trace: list[TraceRow] = []
     iterates: list[np.ndarray] | None = [] if cfg.record_iterates else None
     best = None   # (A, v, rho, s, t) with the best rho so far
     last = None
@@ -280,7 +251,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
         v, rho = _eigen(A, cfg, eigenvector_fn)
         up, down = extremes(v)
         up_dots, down_dots, own_dots = up @ v, down @ v, A @ v
-        t, s = _bounds(v, up_dots, down_dots, own_dots, cfg.zero_tol)
+        t, s = _bounds(v, up_dots, down_dots, own_dots)
         if iterates is not None:
             iterates.append(A.copy())
         last = (A, v, rho, s, t)
@@ -295,18 +266,10 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
         seen[sig] = rho
         cand, new_dots = (up, up_dots) if cfg.direction == "max" else (down, down_dots)
         A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
-                                      cfg.delta, step_kind, cfg.zero_tol)
-        contraction = None
-        if cfg.record_contraction and changed:
-            try:
-                u = selected_eigenpair(A_next.T, cfg.power).v
-                contraction = contraction_factor(u, v)
-            except (ValueError, PowerIterationError):
-                contraction = None
-        trace.append(TraceRow(k, rho, s, t, changed,
-                              time.perf_counter() - t0, contraction))
+                                      cfg.delta, step_kind)
+        trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0))
         if not changed:
-            if cfg.direction == "max" and bool(np.any(v <= cfg.zero_tol)):
+            if cfg.direction == "max" and bool(np.any(v <= ZERO_TOL)):
                 status = STATUS_REDUCIBLE
             else:
                 status = STATUS_OPTIMAL
@@ -337,6 +300,10 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         A = check_matrix(initial_matrix)
         if A.shape[0] != d:
             raise ValueError("initial matrix size does not match the family")
+        # The current matrix's rows enter the bounds, so a start outside the
+        # family would be certified as if it were a member.
+        if not family.contains_matrix(A):
+            raise ValueError("initial matrix is not a member of the family")
         A = A.copy()
     else:
         A = family.best_matrix(np.ones(d), cfg.direction)
@@ -369,16 +336,15 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
         res.matrix = X
         res.rho = rho
         res.eigenvector = v
-        res.bounds = _bounds(v, up @ v, down @ v, X @ v, cfg.zero_tol)
+        res.bounds = _bounds(v, up @ v, down @ v, X @ v)
     return res
 
 
 def optimize(family: ProductFamily, config: OptimizerConfig | None = None,
              *, eigenvector_fn=None, initial_matrix=None) -> OptimizationResult:
     """Run ``config.method`` from ``initial_matrix`` (default: the family's
-    best member against the all-ones vector).  The current matrix's rows
-    enter the bounds, so they certify the family only when
-    ``initial_matrix`` is a member of it.
+    best member against the all-ones vector).  ``initial_matrix`` must be a
+    member of the family (``family.contains_matrix``); ValueError otherwise.
 
     ``eigenvector_fn`` is honored by the greedy method only.  It receives the
     current matrix and returns a non-negative leading eigenvector, or None to
@@ -424,17 +390,3 @@ def linear_rate_bound(family: ProductFamily) -> float:
     if d == 1:
         return 0.0
     return 1.0 - lo ** 2 / (lo ** 2 + (d - 1) * hi ** 2)
-
-
-def contraction_factor(u_next, v_k) -> float:
-    """Observed one-step contraction 1 - max_j (u_j v_j) / (u, v).
-
-    ``u_next`` is a left leading eigenvector of the *updated* matrix and
-    ``v_k`` the eigenvector the step was taken against.  Raises ValueError
-    on a degenerate pair ((u, v) <= 0)."""
-    u = check_vector(u_next)
-    v = check_vector(v_k, u.shape[0])
-    dot = float(u @ v)
-    if dot <= 0.0:
-        raise ValueError("degenerate eigenvector pair")
-    return 1.0 - float(np.max(u * v)) / dot

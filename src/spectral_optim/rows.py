@@ -23,6 +23,8 @@ variant's kernel is exact:
 * :class:`HalfspacePoly` is a polytope cut from the unit box by non-negative
   halfspaces; the maximum is a small LP solved to a vertex, warm-started
   from the set's previous optimal basis, and the minimum is the origin.
+  The LP runs on every visit, so selecting the minimum alone also solves it
+  and moves the warm-start basis.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
   positive orthant, with a closed-form touching point; one scaled direction
   gives both extremes.
@@ -30,7 +32,7 @@ variant's kernel is exact:
 The graph and L1 kernels order the components of v with a stable sort.  The
 sort is made at most once per call, on first use, and shared by every set
 of the family.  :meth:`RowSet.best_row` and :meth:`ProductFamily.best_matrix`
-select one extreme from the same kernels.
+return one side of the same kernels' pair.
 
 Ties are broken deterministically toward the lowest index so that runs are
 reproducible: the first maximal (minimal) finite row, the lowest indices
@@ -117,7 +119,8 @@ class RowSet(abc.ABC):
         deterministically (lowest index wins).
         """
         _check_direction(direction)
-        return np.array(self._pick(_Objective(v, self.d), direction))
+        up, down = self._extremes(_Objective(v, self.d))
+        return np.array(up if direction == "max" else down)
 
     @abc.abstractmethod
     def _extremes(self, obj: _Objective) -> tuple[np.ndarray, np.ndarray]:
@@ -126,11 +129,6 @@ class RowSet(abc.ABC):
         The rows may be views of the set's own arrays: callers copy them
         before handing them out.
         """
-
-    def _pick(self, obj: _Objective, direction: str) -> np.ndarray:
-        """One extreme, as :meth:`_extremes` returns it."""
-        up, down = self._extremes(obj)
-        return up if direction == "max" else down
 
     @abc.abstractmethod
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -301,14 +299,6 @@ class HalfspacePoly(RowSet):
         return self.normals.shape[1]
 
     def _extremes(self, obj):
-        return self._pick(obj, "max"), self._pick(obj, "min")
-
-    def _pick(self, obj, direction):
-        # Selecting the minimum alone runs no LP, so it leaves the warm-start
-        # basis, and with it every later maximum, as it was.
-        if direction == "min":
-            # v >= 0 and the origin is feasible, so it attains the minimum.
-            return np.zeros(self.d)
         lp = LinearProgram(
             objective=obj.v,
             normals=self.normals,
@@ -321,7 +311,8 @@ class HalfspacePoly(RowSet):
         # tuple replaced whole, so concurrent callers share no mutable state.
         sol = lp_optimize(lp, basis=self._basis)
         object.__setattr__(self, "_basis", sol.basis)
-        return np.maximum(sol.x, 0.0)
+        # v >= 0 and the origin is feasible, so it attains the minimum.
+        return np.maximum(sol.x, 0.0), np.zeros(self.d)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -430,13 +421,11 @@ class ProductFamily:
         return up, down
 
     def best_matrix(self, v, direction: str = "max") -> np.ndarray:
-        """Matrix assembled from each set's best row against v."""
+        """Matrix assembled from each set's best row against v: one side
+        of :meth:`extremes`."""
         _check_direction(direction)
-        obj = _Objective(v, self.d)
-        out = np.empty((self.d, self.d))
-        for i, rs in enumerate(self.sets):
-            out[i] = rs._pick(obj, direction)
-        return out
+        up, down = self.extremes(v)
+        return up if direction == "max" else down
 
     def contains_matrix(self, A, tol: float = 1e-9) -> bool:
         A = np.asarray(A, dtype=float)

@@ -20,6 +20,7 @@ from spectral_optim.apps import (
     optimize_graph,
     stabilization_family,
 )
+from spectral_optim.optimize import OptimizerConfig
 from spectral_optim.rows import GraphDegreeSet, L1Ball
 from spectral_optim import demo
 
@@ -164,6 +165,21 @@ def test_closest_unstable_diagonal_and_monotonicity():
     _, r_nine = closest_unstable(StabilizationProblem(0.9 * np.eye(2)))
     assert r_nine == pytest.approx(0.1, abs=3e-6)
     assert r_nine < r_half
+
+
+# A config naming another method is refused, as optimize_graph refuses it,
+# instead of being run as selective greedy.
+
+def test_closest_stable_refuses_another_method():
+    with pytest.raises(ValueError, match="cannot run method 'simplex-pivot'"):
+        closest_stable(StabilizationProblem(np.array([[2.0]])),
+                       OptimizerConfig(method="simplex-pivot"))
+
+
+def test_closest_unstable_refuses_another_method():
+    with pytest.raises(ValueError, match="cannot run method 'simplex-pivot'"):
+        closest_unstable(StabilizationProblem(np.array([[0.5]])),
+                         OptimizerConfig(method="simplex-pivot"))
 
 
 def test_closest_unstable_returns_input_when_already_unstable():

@@ -167,6 +167,14 @@ def test_bench_spec_validation():
         BenchSpec(dims=(2,), set_sizes=(2,), kind="dense")
 
 
+def test_bench_spec_rejects_a_bad_direction_or_method():
+    # Caught at construction, not reported as a failure of every trial.
+    with pytest.raises(ValueError, match="direction"):
+        BenchSpec(dims=(2,), set_sizes=(2,), direction="up")
+    with pytest.raises(ValueError, match="unknown method"):
+        BenchSpec(dims=(2,), set_sizes=(2,), method="newton")
+
+
 def test_singleton_sets_take_exactly_one_pass():
     spec = BenchSpec(dims=(4, 6), set_sizes=(1,), trials=3, seed=5)
     cells = run_benchmark(spec, threads=1)
@@ -190,7 +198,7 @@ def test_benchmark_smoke_finite_and_poly():
     assert poly[0].mean_iters >= 1.0
 
 
-def test_failed_trials_are_counted_not_raised(monkeypatch):
+def test_failed_trials_are_counted_not_raised(monkeypatch, tmp_path):
     calls = {"n": 0}
 
     def flaky(fam, cfg):
@@ -211,6 +219,11 @@ def test_failed_trials_are_counted_not_raised(monkeypatch):
                                (3, "RuntimeError", "synthetic trial failure"))
     table = format_table(cells, spec)
     assert "failed: d=3 N=2 trial 3 (seed 3): RuntimeError: synthetic trial failure" in table
+    write_csv(cells, tmp_path / "sweep.csv", spec)
+    rows = [l for l in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert rows[0].split(",")[-1] == "fail"
+    assert rows[1].split(",")[-1] == "2"
 
     monkeypatch.setattr("spectral_optim.bench.optimize",
                         lambda fam, cfg: (_ for _ in ()).throw(RuntimeError("x")))
@@ -239,7 +252,7 @@ def test_csv_output_is_deterministic_modulo_time(tmp_path):
     t1, t2 = p1.read_text(), p2.read_text()
     assert strip_time(t1) == strip_time(t2)
     header = [l for l in t1.splitlines() if l.startswith("d,")][0]
-    assert header == "d,N,mean_iters,mean_time_s,trials,seed"
+    assert header == "d,N,mean_iters,mean_time_s,trials,seed,fail"
     assert any("seed: 9" in l for l in t1.splitlines() if l.startswith("#"))
 
 

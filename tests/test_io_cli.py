@@ -194,7 +194,7 @@ def test_cli_bench_writes_table_and_csv(tmp_path, capsys):
     assert "# seed: 3" in out
     assert "# density interval: (0.09, 0.15)" in out
     text = csv_path.read_text()
-    assert "d,N,mean_iters,mean_time_s,trials,seed" in text
+    assert "d,N,mean_iters,mean_time_s,trials,seed,fail" in text
     data_lines = [l for l in text.splitlines()
                   if l and not l.startswith("#") and not l.startswith("d,")]
     assert [l.split(",")[:2] for l in data_lines] == [["3", "2"], ["4", "2"]]

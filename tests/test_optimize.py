@@ -16,7 +16,6 @@ from oracles import brute_family_optimum, eig_rho, fixture_rows
 from spectral_optim.linalg import PowerConfig
 from spectral_optim.optimize import (
     OptimizerConfig,
-    contraction_factor,
     linear_rate_bound,
     matrix_signature,
     optimize,
@@ -189,12 +188,12 @@ def test_detect_cycle_on_revisit_without_progress():
     res = _greedy_run("max", demo.adversarial_eigenvectors(), SWAP_A)
     assert res.status == "cycle-detected"
     assert [r.rows_changed for r in res.trace] == [(0,), (0,), ()]
-    assert res.trace.rhos == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
+    assert [r.rho for r in res.trace] == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
 
     res = _greedy_run("min", _scripted_hook({"A": [MIN_TO_B], "B": [MIN_TO_A]}), SWAP_A)
     assert res.status == "cycle-detected"
     assert [r.rows_changed for r in res.trace] == [(0,), (0,), ()]
-    assert res.trace.rhos == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
+    assert [r.rho for r in res.trace] == pytest.approx([10.0, 10.0, 10.0], abs=1e-12)
 
 
 def test_detect_cycle_ignores_revisits_after_progress():
@@ -224,7 +223,7 @@ def test_detect_cycle_needs_a_repeat():
     hook = demo.adversarial_eigenvectors()
     res = _greedy_run("max", hook, BLAND, max_outer_iters=3)
     assert res.status == "max-iters"
-    assert res.trace.rhos[1:] == pytest.approx([10.0, 10.0], abs=1e-12)
+    assert [r.rho for r in res.trace[1:]] == pytest.approx([10.0, 10.0], abs=1e-12)
     res = _greedy_run("max", hook, BLAND)
     assert res.status == "cycle-detected"
     assert res.iterations == 4
@@ -389,8 +388,8 @@ def test_reducible_retry_survives_a_small_power_budget():
 
 def test_trace_is_sandwiched_and_monotone_on_fixture():
     res = selective_greedy(demo.cycling_family(), OptimizerConfig(power=TIGHT))
-    rhos = res.trace.rhos
-    assert np.all(np.diff(rhos) >= -1e-12)
+    assert isinstance(res.trace, list)
+    assert np.all(np.diff([r.rho for r in res.trace]) >= -1e-12)
     for k, row in enumerate(res.trace, start=1):
         assert row.iteration == k
         assert row.t_bound - 1e-9 <= row.rho <= row.s_bound + 1e-9
@@ -407,7 +406,7 @@ def test_traces_are_monotone_across_methods(direction):
                        "simplex-pivot", "greedy"):
             cfg = OptimizerConfig(method=method, direction=direction, power=TIGHT)
             res = optimize(fam, cfg)
-            diffs = np.diff(res.trace.rhos)
+            diffs = np.diff([r.rho for r in res.trace])
             if direction == "max":
                 assert np.all(diffs >= -1e-12)
             else:
@@ -451,17 +450,6 @@ def test_record_iterates_keeps_every_visited_matrix():
     assert plain.iterates is None
 
 
-def test_record_contraction_fills_changing_rows_only():
-    cfg = OptimizerConfig(power=TIGHT, record_contraction=True)
-    res = selective_greedy(demo.cycling_family(), cfg)
-    for row in res.trace:
-        if row.rows_changed:
-            assert row.contraction is not None
-            assert -1e-9 <= row.contraction < 1.0
-        else:
-            assert row.contraction is None
-
-
 # ------------------------------------------------------- dispatch, validation
 
 def test_optimize_rejects_hook_outside_greedy():
@@ -502,6 +490,18 @@ def test_initial_matrix_validation():
         selective_greedy(fam, initial_matrix=np.eye(2))
     with pytest.raises(ValueError):
         selective_greedy(fam, initial_matrix=-np.eye(3))
+
+
+def test_initial_matrix_must_be_a_member():
+    # Row 1 may only be (0, 0.5), so the family's radius is 1; a start with
+    # row (0, 1.5) would otherwise be returned as optimal with rho 1.5 and
+    # bounds that certify it.
+    fam = ProductFamily((FiniteSet(np.array([[1.0, 0.0]])),
+                         FiniteSet(np.array([[0.0, 0.5]]))))
+    with pytest.raises(ValueError, match="not a member"):
+        optimize(fam, initial_matrix=np.array([[1.0, 0.0], [0.0, 1.5]]))
+    res = optimize(fam, initial_matrix=np.array([[1.0, 0.0], [0.0, 0.5]]))
+    assert res.rho == pytest.approx(1.0, abs=1e-12)
 
 
 # --------------------------------------------------------------- brute force
@@ -551,7 +551,7 @@ def test_methods_agree_pairwise_on_positive_families():
         assert max(rhos) - min(rhos) <= 1e-8
 
 
-# ------------------------------------------------- rate bound and contraction
+# ---------------------------------------------------------------- rate bound
 
 def test_linear_rate_bound_closed_form():
     ones2 = _finite_family([[[1.0, 1.0]], [[1.0, 1.0]]])
@@ -566,28 +566,3 @@ def test_linear_rate_bound_closed_form():
     assert linear_rate_bound(single) == 0.0
     with pytest.raises(ValueError, match="positive"):
         linear_rate_bound(demo.cycling_family())
-
-
-def test_contraction_factor_closed_form():
-    d = 4
-    e = np.ones(d) / np.sqrt(d)
-    assert contraction_factor(e, e) == pytest.approx(1.0 - 1.0 / d, abs=1e-15)
-    e1 = np.array([1.0, 0.0])
-    assert contraction_factor(e1, e1) == 0.0
-    assert contraction_factor(np.array([1.0, 2.0]),
-                              np.array([2.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError, match="degenerate eigenvector pair"):
-        contraction_factor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-def test_recorded_contractions_respect_the_rate_bound():
-    rng = np.random.default_rng(55)
-    sets = tuple(FiniteSet(0.2 + 0.8 * rng.random((3, 5))) for _ in range(5))
-    fam = ProductFamily(sets)
-    q = linear_rate_bound(fam)
-    cfg = OptimizerConfig(power=PowerConfig(eps=1e-11), record_contraction=True)
-    res = selective_greedy(fam, cfg)
-    assert res.status == "optimal"
-    for row in res.trace:
-        if row.contraction is not None:
-            assert row.contraction <= q + 1e-9
