@@ -12,9 +12,8 @@ from .linalg import (
     Eigenpair,
     PowerConfig,
     PowerIterationError,
-    lower_bound_t,
+    bounds,
     selected_eigenpair,
-    upper_bound_s,
 )
 from .lp import LinearProgram, LPInfeasibleError, LPUnboundedError, lp_optimize
 from .rows import (
@@ -53,9 +52,8 @@ __all__ = [
     "Eigenpair",
     "PowerConfig",
     "PowerIterationError",
-    "lower_bound_t",
+    "bounds",
     "selected_eigenpair",
-    "upper_bound_s",
     "LinearProgram",
     "LPInfeasibleError",
     "LPUnboundedError",

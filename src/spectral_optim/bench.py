@@ -49,6 +49,11 @@ class BenchSpec:
     def __post_init__(self):
         if not self.dims or not self.set_sizes:
             raise ValueError("dims and set_sizes must be non-empty")
+        if min(self.dims) < 1 or min(self.set_sizes) < 1:
+            raise ValueError("dims and set_sizes must be at least 1")
+        lo, hi = self.density_interval
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise ValueError("density interval must satisfy 0 <= lo <= hi <= 1")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.kind not in ("finite", "poly"):

@@ -26,13 +26,12 @@ __all__ = [
     "check_matrix",
     "check_vector",
     "selected_eigenpair",
-    "upper_bound_s",
-    "lower_bound_t",
+    "bounds",
 ]
 
-# An eigenvector component at or below this counts as zero: the bounds skip
-# or penalize its row, and the optimizer's pivot scores and reducibility test
-# read it the same way.
+# An eigenvector component at or below this counts as zero, in one rule for
+# the radius estimate, both bounds, the optimizer's pivot scores and its
+# reducibility test (see :func:`_row_ratios`).
 ZERO_TOL = 1e-12
 
 
@@ -151,19 +150,13 @@ def _power_vector(B: np.ndarray, eps: float, max_iters: int):
         last_iterate=x, iterations=max_iters)
 
 
-def _rho_from_vector(A: np.ndarray, v: np.ndarray, threshold: float) -> float:
-    """Spectral radius estimate from an approximate eigenvector.
-
-    Uses the largest component ratio (A v)_i / v_i over components larger than
-    ``threshold``; at an exact eigenvector every such ratio equals rho and the
-    large components carry the smallest relative error.  Falls back to the
-    Rayleigh product (v, A v) when no component qualifies.
-    """
+def _rho_from_vector(A: np.ndarray, v: np.ndarray) -> float:
+    """Largest ratio (A v)_i / v_i over the components above ZERO_TOL, all
+    equal to rho at an exact eigenvector.  A unit-norm v has a component of
+    at least 1 / sqrt(d), so one always qualifies."""
     Av = A @ v
-    mask = v > threshold
-    if np.any(mask):
-        return float(np.max(Av[mask] / v[mask]))
-    return float(v @ Av)
+    live = v > ZERO_TOL
+    return float(np.max(Av[live] / v[live]))
 
 
 def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
@@ -195,53 +188,45 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
     # non-negative; clip fp dust so downstream sign checks are exact.
     v = np.maximum(v, 0.0)
     v /= float(np.linalg.norm(v))
-    return Eigenpair(rho=_rho_from_vector(A, v, cfg.eps), v=v, power_iters=iters)
+    return Eigenpair(rho=_rho_from_vector(A, v), v=v, power_iters=iters)
 
 
-def _upper_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:
-    """Aggregate max_i dots_i / v_i with the vanishing-component conventions."""
-    live = v > zero_tol
-    if np.any(dots[~live] > 0.0) or not np.any(live):
-        # A vanishing component that still sees mass makes the ratio
-        # unbounded.  When every row hits the 0/0 case nothing constrains
-        # the radius from above, which cannot happen for a unit-norm
-        # eigenvector.
-        return float("inf")
-    return float(np.max(dots[live] / v[live]))
+def _row_ratios(v: np.ndarray, dots: np.ndarray, direction: str) -> np.ndarray:
+    """Per-row ratios dots_i / v_i: s_i for ``max``, t_i for ``min``.
+
+    A component at or below ZERO_TOL vanishes.  For ``max`` its ratio is
+    +inf when the row still sees mass (dots_i > 0) and -inf on 0/0, so it is
+    skipped; for ``min`` it is +inf, never binding the minimum.
+    """
+    fill = (np.where(dots > 0.0, np.inf, -np.inf) if direction == "max"
+            else np.full(v.shape, np.inf))
+    return np.divide(dots, v, out=fill, where=v > ZERO_TOL)
 
 
-def _lower_from_dots(v: np.ndarray, dots: np.ndarray, zero_tol: float) -> float:
-    """Aggregate min_i dots_i / v_i, vanishing components contributing +inf."""
-    live = v > zero_tol
-    if not np.any(live):
-        return float("inf")
-    return float(np.min(dots[live] / v[live]))
+def _bounds(v: np.ndarray, up_dots: np.ndarray, down_dots: np.ndarray,
+            own_dots: np.ndarray | None = None) -> tuple[float, float]:
+    """Bounds (t, s) at v from the extreme members' dots, (inf, inf) with no
+    live component.  The current matrix's rows are family members, so its
+    own dots may enter both sides; where the oracle rebuilds one of them
+    with other last bits (an LP vertex), they keep t <= rho <= s exact."""
+    if own_dots is not None:
+        up_dots = np.maximum(up_dots, own_dots)
+        down_dots = np.minimum(down_dots, own_dots)
+    t = float(np.min(_row_ratios(v, down_dots, "min")))
+    s = float(np.max(_row_ratios(v, up_dots, "max")))
+    return t, (np.inf if s == -np.inf else s)
 
 
-def upper_bound_s(v, family, zero_tol: float = ZERO_TOL) -> float:
-    """A-posteriori upper bound s on the maximal spectral radius.
+def bounds(v, family) -> tuple[float, float]:
+    """A-posteriori bounds (t, s) at v, ordered like ``OptimizationResult.bounds``.
 
-    For each row index, s_i is the largest achievable (row, v) divided by v_i.
-    Rows whose eigenvector component vanishes (v_i <= zero_tol) contribute
-    +inf when some candidate row still sees mass ((row, v) > 0) and are
-    skipped entirely on the 0/0 case.  Returns max_i s_i.
-
-    The bound sandwiches every iterate: rho_k <= s, and rho_max <= s.  The
-    achievable values are the product of the maximizing matrix with v, the
-    same product the optimizer certifies with, so s is never below a ratio
-    of that matrix by rounding, however small v_i is.
+    s = max_i s_i, with s_i the largest achievable (row, v) over v_i, bounds
+    the maximal radius from above; t = min_i t_i, with the smallest, bounds
+    the minimal radius from below.  Vanishing components follow
+    :func:`_row_ratios`.  One ``family.extremes(v)`` call gives both sides;
+    the ratios divide the extreme matrices' own products with v, so rounding
+    never puts s below a ratio of the maximizing matrix, however small v_i.
     """
     v = check_vector(v, family.d)
-    return _upper_from_dots(v, family.best_matrix(v, "max") @ v, zero_tol)
-
-
-def lower_bound_t(v, family, zero_tol: float = ZERO_TOL) -> float:
-    """A-posteriori lower bound t on the minimal spectral radius.
-
-    Mirror image of :func:`upper_bound_s` with minimizing rows: t_i is the
-    smallest achievable (row, v) divided by v_i, rows with vanishing v_i
-    contribute +inf (they never bind the minimum), and t = min_i t_i satisfies
-    t <= rho_k and t <= rho_min.
-    """
-    v = check_vector(v, family.d)
-    return _lower_from_dots(v, family.best_matrix(v, "min") @ v, zero_tol)
+    up, down = family.extremes(v)
+    return _bounds(v, up @ v, down @ v)

@@ -37,9 +37,9 @@ from .linalg import (
     check_matrix,
     check_vector,
     selected_eigenpair,
-    _lower_from_dots,
+    _bounds,
     _rho_from_vector,
-    _upper_from_dots,
+    _row_ratios,
 )
 from .rows import ProductFamily
 
@@ -93,7 +93,8 @@ class OptimizerConfig:
         Keep a copy of every visited matrix on the result.
 
     An eigenvector component at or below :data:`~spectral_optim.linalg.ZERO_TOL`
-    counts as zero in the bounds, the pivot scores and the reducibility test.
+    counts as zero in rho, the bounds, the pivot scores and the reducibility
+    test.
     """
 
     direction: str = "max"
@@ -111,8 +112,8 @@ class OptimizerConfig:
             object.__setattr__(self, "method", "simplex-smallest-index")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError("delta must be finite and non-negative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
         if not (0.0 <= self.reducibility_alpha < 1.0):
@@ -190,14 +191,7 @@ def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
     elif kind == "smallest-index":
         chosen = improvable[:1]
     else:  # pivot: extremal achievable ratio among improvable rows
-        scores = np.empty(improvable.size)
-        for pos, i in enumerate(improvable):
-            if v[i] > ZERO_TOL:
-                scores[pos] = new_dots[i] / v[i]
-            elif direction == "max":
-                scores[pos] = np.inf if new_dots[i] > 0 else -np.inf
-            else:
-                scores[pos] = np.inf
+        scores = _row_ratios(v, new_dots, direction)[improvable]
         pos = int(np.argmax(scores)) if direction == "max" else int(np.argmin(scores))
         chosen = improvable[pos:pos + 1]
     A_next = A.copy()
@@ -223,15 +217,7 @@ def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
     if nrm == 0.0:
         raise ValueError("eigenvector_fn returned a zero vector")
     v = v / nrm
-    return v, _rho_from_vector(A, v, cfg.power.eps)
-
-
-def _bounds(v, up_dots, down_dots, own_dots) -> tuple[float, float]:
-    """Bounds (t, s) at v.  The current matrix's rows are family members, so
-    its own dots may enter both; where the oracle rebuilds one of them with
-    other last bits (an LP vertex), they keep t <= rho <= s exact."""
-    return (_lower_from_dots(v, np.minimum(down_dots, own_dots), ZERO_TOL),
-            _upper_from_dots(v, np.maximum(up_dots, own_dots), ZERO_TOL))
+    return v, _rho_from_vector(A, v)
 
 
 def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:

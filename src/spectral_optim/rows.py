@@ -169,6 +169,8 @@ class FiniteSet(RowSet):
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            return False
         return bool(np.any(np.max(np.abs(self.rows - x), axis=1) <= tol))
 
     def entry_range(self):

@@ -319,6 +319,20 @@ def lower_from_dots_loop(v, dots, zero_tol):
     return float(best)
 
 
+def row_ratios_loop(v, dots, direction, zero_tol):
+    """dots_i / v_i per row; a component at or below zero_tol gives +inf for
+    'min', and for 'max' +inf when its row sees mass and -inf on 0/0."""
+    scores = np.empty(v.shape[0])
+    for i in range(v.shape[0]):
+        if v[i] > zero_tol:
+            scores[i] = dots[i] / v[i]
+        elif direction == "max":
+            scores[i] = np.inf if dots[i] > 0 else -np.inf
+        else:
+            scores[i] = np.inf
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # the random family generator with one stream call per draw kind
 

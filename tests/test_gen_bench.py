@@ -167,6 +167,22 @@ def test_bench_spec_validation():
         BenchSpec(dims=(2,), set_sizes=(2,), kind="dense")
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(dims=(0,)),
+    dict(dims=(3, 0)),
+    dict(set_sizes=(0,)),
+    dict(density_interval=(0.5, 0.2)),
+    dict(density_interval=(-0.1, 0.2)),
+    dict(density_interval=(0.2, 1.5)),
+])
+def test_bench_spec_rejects_empty_cells_and_a_bad_density(kwargs):
+    # Caught at construction, not reported as a failure of every trial.
+    spec = dict(dims=(2,), set_sizes=(2,))
+    spec.update(kwargs)
+    with pytest.raises(ValueError):
+        BenchSpec(**spec)
+
+
 def test_bench_spec_rejects_a_bad_direction_or_method():
     # Caught at construction, not reported as a failure of every trial.
     with pytest.raises(ValueError, match="direction"):

@@ -250,6 +250,21 @@ def test_cli_names_the_missing_key_of_a_matrix_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix file: missing key 'rows'\n"
 
 
+def test_cli_method_choices_are_canonical_names():
+    import argparse
+
+    from spectral_optim.cli import _build_parser
+    from spectral_optim.optimize import OptimizerConfig
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("optimize", "bench"):
+        method = next(a for a in sub.choices[command]._actions if a.dest == "method")
+        assert method.choices
+        for choice in method.choices:
+            assert OptimizerConfig(method=choice).method == choice
+
+
 def test_cli_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["optimize", "--family", "x.json", "--method", "newton"])

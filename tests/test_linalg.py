@@ -3,16 +3,17 @@ import pytest
 
 from spectral_optim import (
     FiniteSet,
+    HalfspacePoly,
     PowerConfig,
     PowerIterationError,
     ProductFamily,
-    lower_bound_t,
+    bounds,
     selected_eigenpair,
-    upper_bound_s,
 )
 from spectral_optim.linalg import (
-    _lower_from_dots,
-    _upper_from_dots,
+    ZERO_TOL,
+    _bounds,
+    _row_ratios,
     check_matrix,
     check_vector,
 )
@@ -22,6 +23,7 @@ from oracles import (
     fixture_rows,
     lower_from_dots_loop,
     perturbed_leading_vector,
+    row_ratios_loop,
     upper_from_dots_loop,
 )
 
@@ -116,15 +118,15 @@ def test_selected_vector_matches_perturbed_limit():
 
 def test_upper_bound_examples():
     family = fixture_family()
-    assert upper_bound_s(np.array([2.0, 2.0, 1.0]) / 3.0, family) == pytest.approx(12.5, abs=1e-9)
+    assert bounds(np.array([2.0, 2.0, 1.0]) / 3.0, family)[1] == pytest.approx(12.5, abs=1e-9)
     v4 = unit((49.0, 5.0, 6.0))
-    assert upper_bound_s(v4, family) == pytest.approx(12.0, abs=1e-9)
+    assert bounds(v4, family)[1] == pytest.approx(12.0, abs=1e-9)
 
 
 def test_upper_bound_infinite_on_vanishing_component():
     family = ProductFamily((FiniteSet(np.array([[0.0, 1.0]])),
                             FiniteSet(np.array([[0.0, 1.0]]))))
-    assert upper_bound_s(np.array([0.0, 1.0]), family) == np.inf
+    assert bounds(np.array([0.0, 1.0]), family)[1] == np.inf
 
 
 def test_bounds_skip_zero_over_zero_rows():
@@ -133,16 +135,14 @@ def test_bounds_skip_zero_over_zero_rows():
     family = ProductFamily((FiniteSet(np.array([[2.0, 0.0]])),
                             FiniteSet(np.array([[0.0, 3.0]]))))
     v = np.array([1.0, 0.0])
-    assert upper_bound_s(v, family) == 2.0
-    assert lower_bound_t(v, family) == 2.0
+    assert bounds(v, family) == (2.0, 2.0)
 
 
 def test_bounds_are_infinite_when_no_component_qualifies():
     family = ProductFamily((FiniteSet(np.array([[0.0, 0.0]])),
                             FiniteSet(np.array([[0.0, 1.0]]))))
-    v = unit((1.0, 0.5))
-    assert upper_bound_s(v, family, zero_tol=1.0) == np.inf
-    assert lower_bound_t(v, family, zero_tol=1.0) == np.inf
+    v = np.array([ZERO_TOL, 0.5 * ZERO_TOL])
+    assert bounds(v, family) == (np.inf, np.inf)
 
 
 def test_bound_aggregation_matches_the_row_loop():
@@ -152,11 +152,43 @@ def test_bound_aggregation_matches_the_row_loop():
         v = rng.random(d) * (rng.random(d) < 0.7)
         v[rng.random(d) < 0.2] = 1e-13
         dots = rng.random(d) * (rng.random(d) < 0.6)
-        tol = [0.0, 1e-12, 0.3][case % 3]
-        assert (_upper_from_dots(v, dots, tol).hex()
-                == upper_from_dots_loop(v, dots, tol).hex())
-        assert (_lower_from_dots(v, dots, tol).hex()
-                == lower_from_dots_loop(v, dots, tol).hex())
+        t, s = _bounds(v, dots, dots)
+        assert s.hex() == upper_from_dots_loop(v, dots, ZERO_TOL).hex()
+        assert t.hex() == lower_from_dots_loop(v, dots, ZERO_TOL).hex()
+
+
+def test_row_ratios_match_the_pivot_score_loop():
+    rng = np.random.default_rng(114)
+    for case in range(2000):
+        d = 1 + case % 9
+        v = rng.random(d) * (rng.random(d) < 0.7)
+        v[rng.random(d) < 0.2] = 1e-13
+        dots = rng.random(d) * (rng.random(d) < 0.6)
+        for direction in ("max", "min"):
+            assert (_row_ratios(v, dots, direction).tobytes()
+                    == row_ratios_loop(v, dots, direction, ZERO_TOL).tobytes())
+
+
+def test_bounds_solve_one_lp_per_polytope_row(monkeypatch):
+    import importlib
+
+    rows_module = importlib.import_module("spectral_optim.rows")
+    solved = []
+    real = rows_module.lp_optimize
+
+    def spy(lp, *args, **kwargs):
+        solved.append(lp.objective.tobytes())
+        return real(lp, *args, **kwargs)
+
+    monkeypatch.setattr(rows_module, "lp_optimize", spy)
+    rng = np.random.default_rng(115)
+    d = 5
+    family = ProductFamily(tuple(HalfspacePoly(rng.random((6, d)) / 2.0)
+                                 for _ in range(d)))
+    v = unit(rng.random(d) + 0.1)
+    t, s = bounds(v, family)
+    assert solved == [v.tobytes()] * d
+    assert t <= s
 
 
 def test_bounds_agree_with_the_extreme_matrix_at_tiny_components():
@@ -171,28 +203,27 @@ def test_bounds_agree_with_the_extreme_matrix_at_tiny_components():
         family = ProductFamily((FiniteSet(np.array(rows)),) * len(raw))
         up = family.best_matrix(v, "max") @ v
         down = family.best_matrix(v, "min") @ v
-        assert upper_bound_s(v, family) == np.max(up / v)
-        assert lower_bound_t(v, family) == np.min(down / v)
+        assert bounds(v, family)[1] == np.max(up / v)
+        assert bounds(v, family)[0] == np.min(down / v)
 
 
 def test_lower_bound_examples():
     singleton = ProductFamily(tuple(FiniteSet(np.eye(3)[i:i + 1]) for i in range(3)))
-    assert lower_bound_t(unit((1.0, 1.0, 1.0)), singleton) == pytest.approx(1.0, abs=1e-12)
+    assert bounds(unit((1.0, 1.0, 1.0)), singleton)[0] == pytest.approx(1.0, abs=1e-12)
 
     family = fixture_family()
-    assert lower_bound_t(unit((3.0, 2.0, 2.0)), family) == pytest.approx(7.0 / 3.0, abs=1e-12)
+    assert bounds(unit((3.0, 2.0, 2.0)), family)[0] == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     with_zero_row = ProductFamily((FiniteSet(np.array([[0.0, 0.0], [3.0, 1.0]])),
                                    FiniteSet(np.array([[1.0, 2.0]]))))
-    assert lower_bound_t(unit((1.0, 1.0)), with_zero_row) <= 0.0
+    assert bounds(unit((1.0, 1.0)), with_zero_row)[0] <= 0.0
 
 
 def test_bounds_sandwich_on_fixture_iterates():
     family = fixture_family()
     for A in (A1, A2, A4):
         pair = selected_eigenpair(A, TIGHT)
-        t = lower_bound_t(pair.v, family)
-        s = upper_bound_s(pair.v, family)
+        t, s = bounds(pair.v, family)
         assert t <= pair.rho + 1e-9
         assert pair.rho <= s + 1e-9
         assert 12.0 <= s + 1e-9  # the family maximum stays below every s

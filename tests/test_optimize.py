@@ -484,6 +484,14 @@ def test_config_validation():
         OptimizerConfig(reducibility_alpha=1.0)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_config_rejects_a_non_finite_delta(delta):
+    # A NaN or infinite threshold makes no row improvable, so the first pass would end
+    # "optimal" at radius 10 on a family whose maximum is 12.
+    with pytest.raises(ValueError, match="delta"):
+        OptimizerConfig(delta=delta)
+
+
 def test_initial_matrix_validation():
     fam = demo.cycling_family()
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_optim.linalg import lower_bound_t, upper_bound_s
+from spectral_optim.linalg import bounds
 from spectral_optim.rows import Ellipsoid, FiniteSet, L1Ball, ProductFamily
 
 finite_floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -90,8 +90,7 @@ def test_bounds_sandwich_the_row_ratios(case):
     fam = ProductFamily(tuple(rs for _ in range(d)))
     nv = float(np.linalg.norm(v))
     v = v / nv if nv else np.ones(d) / np.sqrt(d)
-    s = upper_bound_s(v, fam)
-    t = lower_bound_t(v, fam)
+    t, s = bounds(v, fam)
     assert t <= s + 1e-12
     A = fam.best_matrix(v, "max")
     dots = A @ v

@@ -230,6 +230,19 @@ def test_set_validation():
         Ellipsoid(np.array([1.0, 1.0]), 2.0, np.array([1.0, 1.0]))  # leaves the orthant
 
 
+@pytest.mark.parametrize("x", [1.0, np.array([1.0]), np.ones(2), np.ones(4),
+                               np.ones((1, 3))])
+def test_wrong_shape_rows_are_not_members(x):
+    sets = (FiniteSet(np.ones((1, 3))),
+            GraphDegreeSet(3, 3, "at_most"),
+            L1Ball(np.ones(3), 1.0),
+            HalfspacePoly(np.full((1, 3), 0.25)),
+            Ellipsoid(np.ones(3), 0.5, np.ones(3)))
+    for rs in sets:
+        assert rs.contains(np.ones(3))
+        assert not rs.contains(x), type(rs).__name__
+
+
 def test_product_family():
     family = ProductFamily(tuple(FiniteSet(r) for r in fixture_rows()))
     assert family.d == 3
