@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PowerConfig, check_matrix, selected_eigenpair
+from .linalg import check_matrix
 from .optimize import OptimizerConfig, selective_greedy
 from .rows import GraphDegreeSet, L1Ball, ProductFamily
 
@@ -111,33 +111,29 @@ def stabilization_family(A, radius: float) -> ProductFamily:
 
 def _clip_to_radius(X: np.ndarray, A: np.ndarray, radius: float) -> np.ndarray:
     """Project each row of X into the L1 ball of the matching row of A."""
+    dev = X - A
+    total = np.abs(dev).sum(axis=1)
+    out = total > radius
     Y = np.array(X, dtype=float, copy=True)
-    for i in range(A.shape[0]):
-        dev = Y[i] - A[i]
-        total = float(np.sum(np.abs(dev)))
-        if total > radius:
-            Y[i] = A[i] + dev * (radius / total)
+    Y[out] = A[out] + dev[out] * (radius / total[out])[:, None]
     return np.maximum(Y, 0.0)
 
 
-def _inner_config(config: OptimizerConfig | None, direction: str) -> OptimizerConfig:
-    """The caller's config with the bisection's direction; a method other
-    than selective greedy is refused by the inner runs, not rewritten."""
-    return replace(config or OptimizerConfig(), direction=direction)
+def _radius(A: np.ndarray, cfg: OptimizerConfig) -> float:
+    """rho(A), read by the optimizer on the one-member family {A}.  A
+    minimization never enters the reducibility retry."""
+    return selective_greedy(stabilization_family(A, 0.0),
+                            replace(cfg, direction="min"), initial_matrix=A).rho
 
 
 def _bisect(A: np.ndarray, lo: float, hi: float, X_hi: np.ndarray,
             accept, cfg: OptimizerConfig, r_tol: float):
     """Shrink [lo, hi] keeping accept(rho(best at hi)) true; returns (X, hi).
-
-    Inner optimizations are warm-started from the previous optimum clipped
-    into the current ball.
-    """
+    Each inner run starts from the previous optimum clipped into its ball."""
     X_prev = X_hi
     while hi - lo > r_tol:
         mid = 0.5 * (lo + hi)
-        fam = stabilization_family(A, mid)
-        res = selective_greedy(fam, cfg,
+        res = selective_greedy(stabilization_family(A, mid), cfg,
                                initial_matrix=_clip_to_radius(X_prev, A, mid))
         X_prev = res.matrix
         if accept(res.rho):
@@ -147,6 +143,17 @@ def _bisect(A: np.ndarray, lo: float, hi: float, X_hi: np.ndarray,
     return X_hi, hi
 
 
+def _closest(problem: StabilizationProblem, config: OptimizerConfig | None,
+             direction: str, hi: float, X_hi: np.ndarray, accept):
+    """(A, 0) when rho(A) passes ``accept``, else the bisection on [0, hi]
+    from X_hi, a member of the ball of radius hi that passes it."""
+    A = problem.A
+    cfg = replace(config or OptimizerConfig(), direction=direction)
+    if accept(_radius(A, cfg)):
+        return A.copy(), 0.0
+    return _bisect(A, 0.0, hi, X_hi, accept, cfg, problem.r_tol)
+
+
 def closest_stable(problem: StabilizationProblem,
                    config: OptimizerConfig | None = None) -> tuple[np.ndarray, float]:
     """Nearest matrix (row-wise L1 / operator infinity norm) with spectral
@@ -154,19 +161,11 @@ def closest_stable(problem: StabilizationProblem,
 
     Returns (X, r_star) with X non-negative, ||X - A||_inf <= r_star, and
     rho(X) <= target.  If A is already within target the answer is (A, 0).
+    The zero matrix brackets the radius at A's largest row sum.
     """
     A = problem.A
-    cfg = _inner_config(config, "min")
-    pair = selected_eigenpair(A, cfg.power)
-    if pair.rho <= problem.target:
-        return A.copy(), 0.0
-    hi = float(np.max(A.sum(axis=1)))   # the zero matrix is reachable at this radius
-    res = selective_greedy(stabilization_family(A, hi), cfg, initial_matrix=A.copy())
-    if res.rho > problem.target:
-        raise RuntimeError(
-            "could not stabilize even at the full infinity-norm radius")
-    return _bisect(A, 0.0, hi, res.matrix,
-                   lambda rho: rho <= problem.target, cfg, problem.r_tol)
+    return _closest(problem, config, "min", float(np.max(A.sum(axis=1))),
+                    np.zeros_like(A), lambda rho: rho <= problem.target)
 
 
 def closest_unstable(problem: StabilizationProblem,
@@ -175,24 +174,10 @@ def closest_unstable(problem: StabilizationProblem,
 
     Mirror of :func:`closest_stable`: maximizes the radius over growing L1
     balls.  Acceptance allows a 1e-6 slack under the target so the critical
-    radius is well-defined under floating point.
+    radius is well-defined under floating point.  A with ``target`` added
+    to entry (0, 0), of radius at least ``target``, brackets it at ``target``.
     """
-    A = problem.A
-    cfg = _inner_config(config, "max")
-    pair = selected_eigenpair(A, cfg.power)
-    if pair.rho >= problem.target:
-        return A.copy(), 0.0
-    # Adding r to a diagonal entry keeps the matrix in the ball and pushes
-    # the radius to at least r, so r = target always suffices in exact
-    # arithmetic; the doubling loop is a numerical safety net.
-    hi = max(problem.target, problem.r_tol)
-    accept = lambda rho: rho >= problem.target - 1e-6
-    for _ in range(64):
-        res = selective_greedy(stabilization_family(A, hi), cfg,
-                               initial_matrix=A.copy())
-        if accept(res.rho):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("could not destabilize within the radius cap")
-    return _bisect(A, 0.0, hi, res.matrix, accept, cfg, problem.r_tol)
+    X_hi = problem.A.copy()
+    X_hi[0, 0] += problem.target
+    return _closest(problem, config, "max", problem.target, X_hi,
+                    lambda rho: rho >= problem.target - 1e-6)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .apps import DegreeSpec, StabilizationProblem, closest_stable, optimize_graph
-from .linalg import PowerConfig, selected_eigenpair
+from .apps import DegreeSpec, StabilizationProblem, _radius, closest_stable, optimize_graph
+from .linalg import PowerConfig
 from .demo import run_cycling_demo
 from .optimize import OptimizerConfig, optimize
 
@@ -135,7 +135,7 @@ def _cmd_graph(args) -> int:
 def _cmd_stabilize(args) -> int:
     A = io_mod.load_matrix(args.matrix)
     X, r_star = closest_stable(StabilizationProblem(A, args.target, args.rtol))
-    rho_x = selected_eigenpair(X).rho
+    rho_x = _radius(X, OptimizerConfig())
     print(f"r = {_num(r_star)}")
     print(f"rho = {_num(rho_x)}")
     if args.out:

@@ -56,7 +56,7 @@ class PowerConfig:
     ----------
     eps : float
         Stop once the sup-norm difference of successive normalized iterates
-        drops to ``eps`` or below.
+        drops to ``eps`` or below.  Must be finite and positive.
     max_iters : int or None
         Iteration budget.  ``None`` resolves to ``100 * d + 10000`` for a
         d x d matrix.
@@ -66,8 +66,8 @@ class PowerConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -195,11 +195,12 @@ def _row_ratios(v: np.ndarray, dots: np.ndarray, direction: str) -> np.ndarray:
     """Per-row ratios dots_i / v_i: s_i for ``max``, t_i for ``min``.
 
     A component at or below ZERO_TOL vanishes.  For ``max`` its ratio is
-    +inf when the row still sees mass (dots_i > 0) and -inf on 0/0, so it is
-    skipped; for ``min`` it is +inf, never binding the minimum.
+    +inf when the row still sees mass (dots_i > 0) or v_i is exactly 0 (a
+    block v does not see may have a larger radius), and -inf on 0/0 at a
+    tiny positive v_i, so it is skipped; for ``min`` it is +inf.
     """
-    fill = (np.where(dots > 0.0, np.inf, -np.inf) if direction == "max"
-            else np.full(v.shape, np.inf))
+    fill = (np.where((dots > 0.0) | (v == 0.0), np.inf, -np.inf)
+            if direction == "max" else np.full(v.shape, np.inf))
     return np.divide(dots, v, out=fill, where=v > ZERO_TOL)
 
 

@@ -158,8 +158,9 @@ class OptimizationResult:
 
 
 def _row_digests(rows, quantum: float = 1e-12) -> list[bytes]:
-    """One digest per row, of its entries quantized at ``quantum``."""
-    q = np.rint(np.asarray(rows, dtype=float) / quantum).astype(np.int64)
+    """One digest per row, of its entries quantized at ``quantum`` as floats
+    (no integer cast to overflow); adding 0.0 merges -0.0 into +0.0."""
+    q = np.rint(np.asarray(rows, dtype=float) / quantum) + 0.0
     return [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in q]
 
 

@@ -299,13 +299,14 @@ def reference_best_row(rs, v, direction):
 
 
 def upper_from_dots_loop(v, dots, zero_tol):
-    """max_i dots_i / v_i; +inf when a vanishing v_i still sees mass, 0/0
-    rows skipped, +inf when no component qualifies."""
+    """max_i dots_i / v_i; +inf when a vanishing v_i still sees mass or is
+    exactly 0, 0/0 rows at a tiny positive v_i skipped, +inf when no
+    component qualifies."""
     best = -np.inf
     for i in range(v.shape[0]):
         if v[i] > zero_tol:
             best = max(best, dots[i] / v[i])
-        elif dots[i] > 0.0:
+        elif dots[i] > 0.0 or v[i] == 0.0:
             return float("inf")
     return float("inf") if best == -np.inf else float(best)
 
@@ -321,13 +322,14 @@ def lower_from_dots_loop(v, dots, zero_tol):
 
 def row_ratios_loop(v, dots, direction, zero_tol):
     """dots_i / v_i per row; a component at or below zero_tol gives +inf for
-    'min', and for 'max' +inf when its row sees mass and -inf on 0/0."""
+    'min', and for 'max' +inf when its row sees mass or it is exactly 0, and
+    -inf on 0/0 at a tiny positive component."""
     scores = np.empty(v.shape[0])
     for i in range(v.shape[0]):
         if v[i] > zero_tol:
             scores[i] = dots[i] / v[i]
         elif direction == "max":
-            scores[i] = np.inf if dots[i] > 0 else -np.inf
+            scores[i] = np.inf if dots[i] > 0 or v[i] == 0.0 else -np.inf
         else:
             scores[i] = np.inf
     return scores

@@ -187,3 +187,43 @@ def test_closest_unstable_returns_input_when_already_unstable():
     X, r = closest_unstable(StabilizationProblem(A))
     assert r == 0.0
     np.testing.assert_array_equal(X, A)
+
+
+# The bisection's closed-form brackets: the zero matrix at the largest row
+# sum for closest_stable, and A + target e0 e0^T at target for
+# closest_unstable.
+
+def test_closed_form_bracket_members_are_in_their_balls():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        d = int(rng.integers(1, 8))
+        A = rng.random((d, d)) * (rng.random((d, d)) < 0.6) * rng.uniform(0.1, 20.0)
+        target = float(rng.uniform(0.0, 20.0))
+        hi = float(np.max(A.sum(axis=1)))
+        assert stabilization_family(A, hi).contains_matrix(np.zeros_like(A))
+        X = A.copy()
+        X[0, 0] += target
+        assert stabilization_family(A, target).contains_matrix(X)
+        assert eig_rho(X) >= target
+
+
+# A Jordan block exhausts the power stage's budget; the optimizer carries on
+# with the last iterate where a direct eigen call would raise.
+JORDAN = np.array([[2.0, 2.0], [0.0, 2.0]])
+
+
+def test_closest_stable_jordan_block():
+    X, r = closest_stable(StabilizationProblem(JORDAN, r_tol=1e-3))
+    assert 1.0 - 1e-3 <= r <= 1.0 + 2e-3
+    assert eig_rho(X) <= 1.0 + 1e-6
+    assert np.all(X >= 0.0)
+    assert np.max(np.abs(X - JORDAN).sum(axis=1)) <= r + 1e-9
+
+
+def test_closest_unstable_jordan_block():
+    # [[2 + r, 2], [r, 2]] reaches radius 5 at r = 1.8.
+    X, r = closest_unstable(StabilizationProblem(JORDAN, target=5.0))
+    assert r == pytest.approx(1.8, abs=3e-6)
+    assert eig_rho(X) >= 5.0 - 1e-5
+    assert np.all(X >= 0.0)
+    assert np.max(np.abs(X - JORDAN).sum(axis=1)) <= r + 1e-9

@@ -185,6 +185,26 @@ def test_cli_stabilize_scalar(tmp_path, capsys):
     assert abs(X[0, 0] - 2.0) <= r + 1e-12
 
 
+def test_cli_stabilize_jordan_block(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    save_matrix(np.array([[2.0, 2.0], [0.0, 2.0]]), path)
+    out = tmp_path / "stable.json"
+    code = main(["stabilize", "--matrix", str(path), "--rtol", "1e-3",
+                 "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    r = float(lines[0].split("=")[1])
+    assert 1.0 - 1e-3 <= r <= 1.0 + 2e-3
+    assert float(lines[1].split("=")[1]) <= 1.0
+    assert np.max(np.abs(np.linalg.eigvals(load_matrix(out)))) <= 1.0 + 1e-6
+
+
+def test_cli_optimize_rejects_a_non_finite_eps(tmp_path, capsys):
+    code = main(["optimize", "--family", _family_file(tmp_path), "--eps", "inf"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: eps must be finite and positive\n"
+
+
 def test_cli_bench_writes_table_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code = main(["bench", "--dims", "3,4", "--sizes", "2", "--trials", "2",

@@ -130,12 +130,26 @@ def test_upper_bound_infinite_on_vanishing_component():
 
 
 def test_bounds_skip_zero_over_zero_rows():
-    # Row 1's component vanishes and its best row sees no mass: it is
-    # skipped by both bounds instead of making s infinite.
+    # Row 1's best row sees no mass at v.  At a tiny positive component the
+    # 0/0 row is skipped by both bounds.  At an exact zero it makes s
+    # infinite: v cannot see the block {1}, whose radius 3 is the member's.
+    skipped = ProductFamily((FiniteSet(np.array([[2.0, 0.0]])),
+                             FiniteSet(np.array([[0.0, 0.0]]))))
+    assert bounds(np.array([1.0, 0.5 * ZERO_TOL]), skipped) == (2.0, 2.0)
     family = ProductFamily((FiniteSet(np.array([[2.0, 0.0]])),
                             FiniteSet(np.array([[0.0, 3.0]]))))
-    v = np.array([1.0, 0.0])
-    assert bounds(v, family) == (2.0, 2.0)
+    assert bounds(np.array([1.0, 0.0]), family) == (2.0, np.inf)
+
+
+def test_bounds_see_a_block_behind_an_exact_zero():
+    # v = (1, 0) is an eigenvector of [[1, 0], [0, 0]], yet the member
+    # [[1, 0], [0, 5]] has radius 5: s must not stop at 1.
+    family = ProductFamily((FiniteSet(np.array([[1.0, 0.0]])),
+                            FiniteSet(np.array([[0.0, 0.0], [0.0, 5.0]]))))
+    t, s = bounds(np.array([1.0, 0.0]), family)
+    assert t == 1.0
+    assert s == np.inf
+    assert s >= eig_rho(np.array([[1.0, 0.0], [0.0, 5.0]]))
 
 
 def test_bounds_are_infinite_when_no_component_qualifies():
@@ -252,3 +266,9 @@ def test_input_validation():
         PowerConfig(eps=0.0)
     with pytest.raises(ValueError):
         PowerConfig(max_iters=0)
+
+
+def test_power_config_rejects_a_non_finite_eps():
+    # eps = inf would stop every power stage after its first iterate.
+    with pytest.raises(ValueError, match="eps must be finite"):
+        PowerConfig(eps=np.inf)

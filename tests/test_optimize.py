@@ -111,6 +111,22 @@ def test_matrix_signature_separates_shapes():
     assert matrix_signature(np.zeros((2, 2))) != matrix_signature(np.zeros((3, 3)))
 
 
+def test_matrix_signature_separates_entries_beyond_the_int64_range():
+    # 1e7 / 1e-12 and 2e7 / 1e-12 are both past 2**63 quanta.
+    assert matrix_signature(np.array([[1e7]])) != matrix_signature(np.array([[2e7]]))
+    assert matrix_signature(np.array([[-0.0]])) == matrix_signature(np.array([[0.0]]))
+
+
+def test_cycle_check_runs_warning_free_on_large_entries():
+    base = demo.cycling_family()
+    scaled = ProductFamily(tuple(FiniteSet(1e8 * rs.rows) for rs in base.sets))
+    for direction in ("max", "min"):
+        cfg = OptimizerConfig(direction=direction)
+        ref, res = optimize(base, cfg), optimize(scaled, cfg)
+        assert res.status == ref.status
+        assert res.rho / 1e8 == pytest.approx(ref.rho, rel=1e-8)
+
+
 def _optimizer_keys(monkeypatch, run):
     """Run ``run()`` and collect the cycle-check keys the optimizer computed."""
     import importlib
