@@ -160,10 +160,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def write_trace_csv(trace, path) -> None:
-    """One CSV row per outer iteration; changed rows are ';'-joined indices."""
+    """One CSV row per outer iteration; changed rows are ';'-joined indices,
+    and the last column is the pass's eigen path (``TraceRow.eigen_path``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s"])
+        w.writerow(["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s",
+                    "eigen_path"])
         for row in trace:
             w.writerow([
                 row.iteration,
@@ -172,4 +174,5 @@ def write_trace_csv(trace, path) -> None:
                 repr(float(row.t_bound)),
                 ";".join(str(i) for i in row.rows_changed),
                 repr(float(row.time_s)),
+                row.eigen_path,
             ])

@@ -122,7 +122,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One outer iteration: spectral radius, bounds, and what changed."""
+    """One outer iteration: spectral radius, bounds, and what changed.
+
+    ``eigen_path`` says where the pass's eigenvector came from: ``power`` or
+    ``structural`` (``Eigenpair.path``), ``fallback`` (the last iterate of a
+    power stage that exhausted its budget) or ``hook`` (``eigenvector_fn``).
+    """
 
     iteration: int
     rho: float
@@ -130,6 +135,7 @@ class TraceRow:
     t_bound: float
     rows_changed: tuple[int, ...]
     time_s: float
+    eigen_path: str
 
 
 @dataclass
@@ -201,11 +207,13 @@ def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
 
 
 def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
+    """(v, rho, eigen path) of the current matrix."""
     v = eigenvector_fn(A) if eigenvector_fn is not None else None
+    path = "hook"
     if v is None:
         try:
             pair = selected_eigenpair(A, cfg.power)
-            return pair.v, pair.rho
+            return pair.v, pair.rho, pair.path
         except PowerIterationError as exc:
             # A near-tie between leading eigenvalues can exhaust the budget
             # (the A + I shift makes tiny gaps excruciating).  The last
@@ -213,12 +221,13 @@ def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
             # met, and the two-sided bounds are valid for any positive
             # vector, so the outer loop can continue honestly with it.
             v = np.maximum(exc.last_iterate, 0.0)
+            path = "fallback"
     v = check_vector(v, A.shape[0])
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("eigenvector_fn returned a zero vector")
     v = v / nrm
-    return v, _rho_from_vector(A, v)
+    return v, _rho_from_vector(A, v), path
 
 
 def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:
@@ -235,7 +244,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     status = None
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
-        v, rho = _eigen(A, cfg, eigenvector_fn)
+        v, rho, path = _eigen(A, cfg, eigenvector_fn)
         up, down = extremes(v)
         up_dots, down_dots, own_dots = up @ v, down @ v, A @ v
         t, s = _bounds(v, up_dots, down_dots, own_dots)
@@ -247,14 +256,14 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
         sig = _digest_of_rows(row_digests)
         prev_rho = seen.get(sig)
         if prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta:
-            trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0))
+            trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0, path))
             status = STATUS_CYCLE
             break
         seen[sig] = rho
         cand, new_dots = (up, up_dots) if cfg.direction == "max" else (down, down_dots)
         A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
                                       cfg.delta, step_kind)
-        trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0))
+        trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path))
         if not changed:
             if cfg.direction == "max" and bool(np.any(v <= ZERO_TOL)):
                 status = STATUS_REDUCIBLE
@@ -317,7 +326,7 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     # Pull back: the family's best member against the retry's eigenvector.
     # Only a maximization stalls as reducible, so the larger radius wins.
     X = family.extremes(retry.eigenvector)[0]
-    v, rho = _eigen(X, cfg, None)
+    v, rho, _ = _eigen(X, cfg, None)
     if rho > res.rho:
         up, down = family.extremes(v)
         res.matrix = X

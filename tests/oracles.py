@@ -40,6 +40,35 @@ def brute_family_optimum(rows_per_set, direction="max"):
     return best_mat, best_rho
 
 
+def closure_classes(A) -> list[np.ndarray]:
+    """Strongly connected classes of the support graph of A (edge i -> j
+    when A[i, j] > 0), from the boolean transitive closure by repeated
+    squaring: i and j share a class when each reaches the other."""
+    S = np.asarray(A, dtype=float) > 0.0
+    R = S | np.eye(S.shape[0], dtype=bool)
+    while True:
+        grown = R | ((R.astype(int) @ R.astype(int)) > 0)
+        if np.array_equal(grown, R):
+            break
+        R = grown
+    same = R & R.T
+    classes, done = [], np.zeros(S.shape[0], dtype=bool)
+    for i in range(S.shape[0]):
+        if not done[i]:
+            classes.append(np.flatnonzero(same[i]))
+            done |= same[i]
+    return classes
+
+
+def blockwise_rho(A) -> float:
+    """Spectral radius as the largest |eigenvalue| over the diagonal blocks
+    of the classes.  Dense ``eigvals`` on a whole reducible matrix can be
+    off by far more than a power-stage tolerance; block by block it is not."""
+    A = np.asarray(A, dtype=float)
+    return max(float(np.max(np.abs(np.linalg.eigvals(A[np.ix_(c, c)]))))
+               for c in closure_classes(A))
+
+
 # ---------------------------------------------------------------------------
 # Perron vector of the positively perturbed matrix
 

@@ -19,6 +19,7 @@ from spectral_optim.linalg import (
 )
 
 from oracles import (
+    closure_classes,
     eig_rho,
     fixture_rows,
     lower_from_dots_loop,
@@ -272,3 +273,164 @@ def test_power_config_rejects_a_non_finite_eps():
     # eps = inf would stop every power stage after its first iterate.
     with pytest.raises(ValueError, match="eps must be finite"):
         PowerConfig(eps=np.inf)
+
+
+# ------------------------------------------------------------ structural path
+
+def test_irreducible_matrices_take_the_power_path():
+    rng = np.random.default_rng(21)
+    for A in (A1, np.array([[0.0, 1.0], [1.0, 0.0]]), rng.random((6, 6)) + 0.01):
+        assert selected_eigenpair(A).path == "power"
+
+
+def test_jordan_chain_selects_the_upper_class():
+    # rho has index 2: power iteration reaches v = (1, 0) only at rate 1/k
+    # and used to raise PowerIterationError.
+    pair = selected_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert pair.path == "structural"
+    assert pair.rho == 1.0
+    assert pair.v.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_nilpotent_matrix_has_radius_exactly_zero(scale):
+    pair = selected_eigenpair(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert pair.path == "structural"
+    assert pair.rho == 0.0
+    assert pair.v.tolist() == [1.0, 0.0]
+
+
+def test_zero_matrix_keeps_the_all_ones_direction():
+    pair = selected_eigenpair(np.zeros((3, 3)))
+    assert pair.rho == 0.0
+    assert np.allclose(pair.v, unit((1.0, 1.0, 1.0)), atol=1e-15)
+
+
+def test_chain_of_basic_classes_solves_upstream_components():
+    # Classes {2} (basic, height 1), {1} (basic, height 2) and {0} (radius
+    # 0.5, height 2): v_1 = 1, v_2 = 0 and (1 - 0.5) v_0 = v_1.
+    pair = selected_eigenpair(np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+    assert pair.path == "structural"
+    assert np.allclose(pair.v, unit((2.0, 1.0, 0.0)), atol=1e-15)
+    assert pair.v[2] == 0.0
+
+
+def _two_blocks(first, second):
+    """4 x 4 matrix with the block ``first`` on rows {0, 2} and ``second``
+    on rows {1, 3}, interleaved so that neither class is contiguous."""
+    A = np.zeros((4, 4))
+    A[np.ix_([0, 2], [0, 2])] = first
+    A[np.ix_([1, 3], [1, 3])] = second
+    return A
+
+
+def test_tied_blocks_follow_the_tie_rule():
+    B = np.array([[1.0, 2.0], [3.0, 1.0]])
+    # Radii within 1e-9 relative are tied: both classes are basic at the top
+    # height, and the power stage on A + I decides.
+    for factor in (1.0, 1.0 + 1e-12):
+        for A in (_two_blocks(B, factor * B), _two_blocks(factor * B, B)):
+            pair = selected_eigenpair(A)
+            assert pair.path == "power"
+            assert np.allclose(pair.v[[0, 2]], pair.v[[1, 3]], atol=1e-9)
+    # Outside the tie the larger block alone is basic; the other is exactly 0.
+    pair = selected_eigenpair(_two_blocks(B, (1.0 + 1e-6) * B))
+    assert pair.path == "structural"
+    assert pair.v[0] == pair.v[2] == 0.0
+    swapped = selected_eigenpair(_two_blocks((1.0 + 1e-6) * B, B))
+    assert np.array_equal(swapped.v[[0, 2, 1, 3]], pair.v[[1, 3, 0, 2]])
+
+
+def _one_basic_class(rng):
+    """Random reducible matrix with exactly one basic class, its vertices
+    shuffled; returns (A, the class index arrays, the basic class)."""
+    sizes = rng.integers(1, 4, size=int(rng.integers(2, 6)))
+    d = int(sizes.sum())
+    classes = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+    A = np.zeros((d, d))
+    radii = []
+    for c, idx in enumerate(classes):
+        n = idx.size
+        if n == 1:
+            block = rng.random((1, 1)) * (rng.random() < 0.7)
+        else:
+            block = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            block[np.arange(n), (np.arange(n) + 1) % n] += 0.1 + rng.random(n)
+        A[np.ix_(idx, idx)] = block
+        radii.append(float(np.max(np.abs(np.linalg.eigvals(block)))))
+        # Class c has edges only to classes before it.
+        for below in classes[:c]:
+            mask = rng.random((n, below.size)) < 0.4
+            A[np.ix_(idx, below)] = rng.random((n, below.size)) * mask
+    b = int(rng.integers(len(classes)))
+    top = classes[b]
+    if radii[b] == 0.0:
+        A[top[0], top[0]] = radii[b] = 1.0
+    A[np.ix_(top, top)] *= (1.5 * max(radii) + 0.5) / radii[b]
+    return A, classes, b
+
+
+def test_structural_vector_property():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        A, classes, b = _one_basic_class(rng)
+        pair = selected_eigenpair(A)
+        v, rho = pair.v, pair.rho
+        assert pair.path == "structural"
+        assert np.all(v >= 0.0)
+        assert np.max(np.abs(A @ v - rho * v)) <= 1e-12 * rho
+        # Height 1 on the classes with access to the basic one, else 0.
+        reach = {b}
+        for c in range(b + 1, len(classes)):
+            targets = {j for j in range(c) if np.any(A[np.ix_(classes[c], classes[j])] > 0)}
+            if targets & reach:
+                reach.add(c)
+        for c, idx in enumerate(classes):
+            assert np.all(v[idx] == 0.0) if c not in reach else np.all(v[idx] > 0.0)
+        assert np.linalg.norm(v - perturbed_leading_vector(A)) <= 1e-6
+
+
+def test_large_class_runs_the_power_stage_on_its_block():
+    # A 40-row class (above the dense limit) between an upstream and a
+    # downstream singleton.
+    rng = np.random.default_rng(7)
+    A = np.zeros((42, 42))
+    A[1:41, 1:41] = rng.random((40, 40))
+    A[0, 0], A[0, 5] = 3.0, 1.0
+    A[41, 41], A[7, 41] = 2.0, 1.0
+    pair = selected_eigenpair(A)
+    assert pair.path == "structural"
+    assert pair.power_iters > 0
+    assert pair.v[41] == 0.0 and np.all(pair.v[:41] > 0.0)
+    assert np.max(np.abs(A @ pair.v - pair.rho * pair.v)) <= 1e-8 * pair.rho
+    assert np.linalg.norm(pair.v - perturbed_leading_vector(A)) <= 1e-6
+    # A block out of budget hands over to the power stage on all of A + I.
+    with pytest.raises(PowerIterationError) as err:
+        selected_eigenpair(A, PowerConfig(max_iters=2))
+    assert err.value.last_iterate.shape == (42,)
+
+
+def test_classes_match_the_closure_oracle_sinks_first():
+    from spectral_optim.linalg import _classes, _reach
+
+    rng = np.random.default_rng(2025)
+    # Vertex 0 feeds two 3-cycles joined by the edge 1 -> 4: nothing peels
+    # off the rest of vertex 0's class, and Tarjan splits it.
+    joined = np.zeros((7, 7))
+    joined[[0, 1, 2, 3, 4, 5, 6, 1], [1, 2, 3, 1, 5, 6, 4, 4]] = 1.0
+    cases = [joined]
+    for case in range(300):
+        d = 1 + case % 40
+        density = (0.02, 0.05, 0.1, 0.3)[case % 4]
+        cases.append(rng.random((d, d)) * (rng.random((d, d)) < density))
+    for A in cases:
+        S = A > 0.0
+        np.fill_diagonal(S, False)
+        everyone = np.ones(A.shape[0], dtype=bool)
+        classes = _classes(A, S, _reach(A, 0, everyone), _reach(A.T, 0, everyone))
+        assert sorted(map(tuple, closure_classes(A))) == sorted(map(tuple, classes))
+        position = np.empty(A.shape[0], dtype=int)
+        for c, idx in enumerate(classes):
+            position[idx] = c
+        rows, cols = np.nonzero(A)
+        assert np.all(position[cols] <= position[rows])
