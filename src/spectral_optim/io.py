@@ -161,11 +161,12 @@ def load_matrix(path) -> np.ndarray:
 
 def write_trace_csv(trace, path) -> None:
     """One CSV row per outer iteration; changed rows are ';'-joined indices,
-    and the last column is the pass's eigen path (``TraceRow.eigen_path``)."""
+    then come the pass's eigen path (``TraceRow.eigen_path``) and its time
+    in the eigen stage and in the row oracle (``eigen_s``, ``oracle_s``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s",
-                    "eigen_path"])
+                    "eigen_path", "eigen_s", "oracle_s"])
         for row in trace:
             w.writerow([
                 row.iteration,
@@ -175,4 +176,6 @@ def write_trace_csv(trace, path) -> None:
                 ";".join(str(i) for i in row.rows_changed),
                 repr(float(row.time_s)),
                 row.eigen_path,
+                repr(float(row.eigen_s)),
+                repr(float(row.oracle_s)),
             ])

@@ -14,18 +14,38 @@ entering column becomes the smallest eligible index instead.  Together with
 the leaving tie-break that is Bland's rule (Bland 1977), which cannot cycle;
 the first pivot with a gain switches back to Dantzig's rule.
 
-A solve may start from the basis returned by an earlier solve of the same
-constraints, where only the objective or the sense differ.  That basis is
-still primal feasible, so the tableau is rebuilt from it with one linear
-solve and phase 2 restarts there, usually a pivot or two from the optimum.
+A solve may start from an earlier :class:`LPSolution` of the same
+constraints, where only the objective or the sense differ.  Its optimal
+basis is still primal feasible, so phase 2 restarts there, usually a pivot
+or two from the optimum, in one of two ways:
+
+* *tableau*: the solution keeps a read-only copy of its optimal tableau.
+  The new solve copies it, reprices the objective row for the new
+  objective and pivots on: no linear solve and no rebuild of the standard
+  form.  This needs the constraints to be checked identical, not assumed:
+  normals, rhs, lo and hi are compared with the copy the tableau keeps.
+* *basis*: otherwise the tableau is refactorized from the basis with one
+  linear solve.  That also happens when the tableau has been carried
+  through m pivots (m = the number of standard-form rows) since it was last
+  built cold or refactorized, or when its right-hand side shows an entry
+  below ``-tol``: rounding error grows with every rank-1 update, and a
+  fresh factorization bounds it.  The rule is applied as a solve ends: a
+  tableau it condemns is not kept.  A bare basis tuple always takes this
+  path.
+
 A basis that does not fit the program, or is singular or infeasible for it,
-is ignored and the solve starts cold.  Where several vertices are optimal,
-which one is returned can depend on the starting basis.
+is ignored and the solve starts cold.  :attr:`LPSolution.start` names the
+path taken.  The kept tableau has (m + 1) x (n + m + 1) floats, beside a
+copy of the constraints.  For a polytope in the unit box of R^d cut by k
+halfspaces (m = k + d, n = d) that is (k + d + 1)(k + 2d + 1) floats: 61 KB
+at d=25, k=50, 303 KB at d=100 and 905 KB at d=200 (k=50), against 11, 42
+and 84 KB for the copy.  Where several vertices are optimal, which one is
+returned can depend on the starting basis and on the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,20 +105,50 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
+class _Tableau:
+    """An optimal tableau kept for the next solve, with its basis, the
+    constraints it was built from and the pivots it has been carried through
+    since it was last built cold or refactorized.  Every array is read-only:
+    a solve that restarts here works on copies."""
+
+    T: np.ndarray
+    basis: np.ndarray
+    constraints: tuple[np.ndarray, ...]   # normals, rhs, lo, hi
+    carried: int
+
+    def fits(self, lp: LinearProgram) -> bool:
+        """Whether ``lp`` has exactly the constraints this tableau encodes."""
+        return all(np.array_equal(mine, theirs) for mine, theirs in
+                   zip(self.constraints, (lp.normals, lp.rhs, lp.lo, lp.hi)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class LPSolution:
     """An optimal vertex ``x``, its objective ``value``, the final ``basis``
     and the number of ``pivots`` taken.
 
     Unpacks as ``x, value``.  ``basis`` holds the indices of the basic
     columns of the standard form (structural, then one slack per constraint
-    row and finite upper bound); pass it to the next :func:`lp_optimize`
-    call on the same constraints to warm-start it.
+    row and finite upper bound).  Pass the solution itself to the next
+    :func:`lp_optimize` call on the same constraints to warm-start it from
+    the read-only optimal tableau the solution keeps, or pass ``basis``
+    alone to refactorize from it.  No tableau is kept once the
+    refactorization rule of the module docstring is due.  ``start`` names
+    how this solve began: ``cold``, ``tableau`` (repriced from an earlier
+    solution's tableau) or ``basis`` (refactorized from an earlier basis).
     """
 
     x: np.ndarray
     value: float
     basis: tuple[int, ...]
     pivots: int
+    start: str
+    _tableau: _Tableau | None = field(default=None, repr=False)
 
     def __iter__(self):
         return iter((self.x, self.value))
@@ -197,15 +247,19 @@ def _warm_start(A: np.ndarray, b: np.ndarray, basis, tol: float):
             or (m and (basis.min() < 0 or basis.max() >= n + m))):
         return None
     M = np.hstack([A, np.eye(m), b[:, None]])
+    # The basic columns come out as the identity: solve for the others only.
+    rest = np.ones(n + m + 1, dtype=bool)
+    rest[basis] = False
     try:
-        rows = np.linalg.solve(M[:, basis], M)
+        solved = np.linalg.solve(M[:, basis], M[:, rest])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(rows)) or np.any(rows[:, -1] < -tol):
+    if not np.all(np.isfinite(solved)) or np.any(solved[:, -1] < -tol):
         return None
-    rows[:, basis] = np.eye(m)
-    np.maximum(rows[:, -1], 0.0, out=rows[:, -1])
-    T = np.vstack([rows, np.zeros(n + m + 1)])
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, rest] = solved
+    T[np.arange(m), basis] = 1.0
+    np.maximum(T[:m, -1], 0.0, out=T[:m, -1])
     return T, basis, 0
 
 
@@ -221,13 +275,31 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> int:
     return _run_simplex(T, basis, ncols, tol)
 
 
+def _standard_form(lp: LinearProgram):
+    """A, b of A y <= b, y >= 0 with y = x - lo: the constraint rows, then
+    one row per finite upper bound."""
+    n = lp.objective.shape[0]
+    rows = [lp.normals]
+    rhs = [lp.rhs - lp.normals @ lp.lo]
+    finite_hi = np.isfinite(lp.hi)
+    if np.any(finite_hi):
+        idx = np.flatnonzero(finite_hi)
+        ub = np.zeros((idx.size, n))
+        ub[np.arange(idx.size), idx] = 1.0
+        rows.append(ub)
+        rhs.append(lp.hi[idx] - lp.lo[idx])
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
-                basis: tuple[int, ...] | None = None) -> LPSolution:
+                basis: LPSolution | tuple[int, ...] | None = None) -> LPSolution:
     """Solve the program to an optimal vertex (see :class:`LPSolution`).
 
-    ``basis`` is the :attr:`LPSolution.basis` of an earlier solve of a
-    program with the same constraints; the solve then restarts phase 2 from
-    it (see the module docstring).
+    ``basis`` is an earlier :class:`LPSolution` of a program with the same
+    constraints, or its :attr:`LPSolution.basis`; the solve then restarts
+    phase 2 from it.  A solution's kept tableau is repriced and reused when
+    the constraints check identical; otherwise, and for a bare basis, the
+    tableau is refactorized from the basis (see the module docstring).
 
     Raises
     ------
@@ -238,25 +310,29 @@ def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
     """
     n = lp.objective.shape[0]
     c = lp.objective if lp.sense == "max" else -lp.objective
-    rows = [lp.normals]
-    rhs = [lp.rhs - lp.normals @ lp.lo]
-    finite_hi = np.isfinite(lp.hi)
-    if np.any(finite_hi):
-        idx = np.flatnonzero(finite_hi)
-        ub = np.zeros((idx.size, n))
-        ub[np.arange(idx.size), idx] = 1.0
-        rows.append(ub)
-        rhs.append(lp.hi[idx] - lp.lo[idx])
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    start = None if basis is None else _warm_start(A, b, basis, tol)
-    if start is None:
-        start = _cold_start(A, b, tol)
-    T, basic, pivots = start
+    kept = None
+    if isinstance(basis, LPSolution):
+        kept, basis = basis._tableau, basis.basis
+    if kept is not None and kept.fits(lp):
+        T, basic, carried = kept.T.copy(), kept.basis.copy(), kept.carried
+        start, pivots = "tableau", 0
+    else:
+        A, b = _standard_form(lp)
+        warm = None if basis is None else _warm_start(A, b, basis, tol)
+        start = "cold" if warm is None else "basis"
+        T, basic, pivots = warm if warm is not None else _cold_start(A, b, tol)
+        carried = 0
     pivots += _phase2(T, basic, c, tol)
+    carried += pivots
 
     y = np.zeros(n)
     structural = basic < n
     y[basic[structural]] = T[:-1, -1][structural]
     x = y + lp.lo
-    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()), pivots)
+    tableau = None
+    if carried < T.shape[0] - 1 and not np.any(T[:-1, -1] < -tol):
+        constraints = kept.constraints if start == "tableau" else tuple(
+            _read_only(a.copy()) for a in (lp.normals, lp.rhs, lp.lo, lp.hi))
+        tableau = _Tableau(_read_only(T), _read_only(basic), constraints, carried)
+    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()), pivots,
+                      start, tableau)

@@ -127,6 +127,8 @@ class TraceRow:
     ``eigen_path`` says where the pass's eigenvector came from: ``power`` or
     ``structural`` (``Eigenpair.path``), ``fallback`` (the last iterate of a
     power stage that exhausted its budget) or ``hook`` (``eigenvector_fn``).
+    ``time_s`` is the whole pass; ``eigen_s`` and ``oracle_s`` are its parts
+    spent on the eigenvector and in the row oracle (both extremes).
     """
 
     iteration: int
@@ -136,6 +138,8 @@ class TraceRow:
     rows_changed: tuple[int, ...]
     time_s: float
     eigen_path: str
+    eigen_s: float
+    oracle_s: float
 
 
 @dataclass
@@ -245,7 +249,9 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
         v, rho, path = _eigen(A, cfg, eigenvector_fn)
+        t1 = time.perf_counter()
         up, down = extremes(v)
+        t2 = time.perf_counter()
         up_dots, down_dots, own_dots = up @ v, down @ v, A @ v
         t, s = _bounds(v, up_dots, down_dots, own_dots)
         if iterates is not None:
@@ -256,14 +262,16 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
         sig = _digest_of_rows(row_digests)
         prev_rho = seen.get(sig)
         if prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta:
-            trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0, path))
+            trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0, path,
+                                  t1 - t0, t2 - t1))
             status = STATUS_CYCLE
             break
         seen[sig] = rho
         cand, new_dots = (up, up_dots) if cfg.direction == "max" else (down, down_dots)
         A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
                                       cfg.delta, step_kind)
-        trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path))
+        trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path,
+                              t1 - t0, t2 - t1))
         if not changed:
             if cfg.direction == "max" and bool(np.any(v <= ZERO_TOL)):
                 status = STATUS_REDUCIBLE

@@ -179,3 +179,71 @@ def test_warm_start_from_a_phase_one_basis():
         assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
         assert np.all(normals @ warm.x <= rhs + 1e-10)
         basis = warm.basis
+
+
+def test_a_solution_of_other_constraints_is_not_repriced():
+    # Same shape, other normals or rhs: the kept tableau encodes the old
+    # constraints, so repricing it would return a vertex of the wrong polytope.
+    rng = np.random.default_rng(23)
+    normals = rng.random((8, 6))
+    earlier = lp_optimize(_boxed_lp(rng.random(6), normals))
+    assert earlier.start == "cold" and earlier._tableau is not None
+    objective = rng.random(6) + 0.1
+    for other in (_boxed_lp(objective, rng.random((8, 6))),
+                  LinearProgram(objective=objective, normals=normals,
+                                rhs=np.full(8, 0.5), lo=np.zeros(6), hi=np.ones(6))):
+        cold = lp_optimize(other)
+        warm = lp_optimize(other, basis=earlier)
+        assert warm.start != "tableau"
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+        assert np.allclose(warm.x, cold.x, atol=1e-12)
+    # A copy of the same constraints is checked identical and repriced.
+    same = lp_optimize(_boxed_lp(objective, normals.copy()), basis=earlier)
+    assert same.start == "tableau"
+    assert same.value == pytest.approx(lp_optimize(_boxed_lp(objective, normals)).value,
+                                       rel=1e-12)
+
+
+def test_kept_tableau_is_read_only_and_changes_under_no_solve():
+    rng = np.random.default_rng(24)
+    normals = rng.random((8, 6))
+    earlier = lp_optimize(_boxed_lp(rng.random(6), normals))
+    kept = earlier._tableau
+    before = kept.T.copy()
+    assert not kept.T.flags.writeable and not kept.basis.flags.writeable
+    assert all(not a.flags.writeable for a in kept.constraints)
+    for _ in range(5):
+        assert lp_optimize(_boxed_lp(rng.random(6), normals), basis=earlier).start == "tableau"
+    assert np.array_equal(kept.T, before)
+    # Changing the caller's arrays in place cannot make the check pass wrongly.
+    lp = _boxed_lp(rng.random(6), normals)
+    lp.normals[0, 0] += 1.0
+    assert lp_optimize(lp, basis=earlier).start != "tableau"
+
+
+def test_two_thousand_warm_solves_match_cold_solves():
+    rng = np.random.default_rng(25)
+    d, k = 10, 15
+    normals = rng.random((k, d)) / 2.0
+    m = k + d   # standard-form rows: the constraints and the upper bounds
+    prev, starts = None, []
+    for case in range(2000):
+        objective = rng.random(d)
+        objective[rng.random(d) < 0.3] = 0.0
+        lp = _boxed_lp(objective, normals)
+        warm = lp_optimize(lp, basis=prev)
+        cold = lp_optimize(lp)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15), case
+        assert np.all(normals @ warm.x <= 1.0 + 1e-10)
+        assert np.all(warm.x >= -1e-10) and np.all(warm.x <= 1.0 + 1e-10)
+        # A tableau is kept only inside the refactorization rule, and a kept
+        # one is always repriced by the next solve.
+        kept = warm._tableau
+        if kept is not None:
+            assert kept.carried < m and np.all(kept.T[:-1, -1] >= -1e-9)
+        if case:
+            assert (warm.start == "tableau") == (prev._tableau is not None)
+        starts.append(warm.start)
+        prev = warm
+    assert starts.count("basis") >= 1
+    assert starts.count("tableau") >= 1000

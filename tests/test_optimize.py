@@ -442,7 +442,8 @@ def test_trace_is_sandwiched_and_monotone_on_fixture():
     for k, row in enumerate(res.trace, start=1):
         assert row.iteration == k
         assert row.t_bound - 1e-9 <= row.rho <= row.s_bound + 1e-9
-        assert row.time_s >= 0.0
+        assert 0.0 <= row.eigen_s and 0.0 <= row.oracle_s
+        assert row.eigen_s + row.oracle_s <= row.time_s
     assert res.trace[-1].rows_changed == ()
 
 

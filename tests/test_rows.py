@@ -290,11 +290,15 @@ def test_halfspace_poly_warm_start_sequence_matches_cold_solves():
         v[rng.random(d) < 0.5] = 0.0
         v[0] = max(v[0], 0.1)
         sparse.append(v)
+    starts = []
     for v in fresh[:3] + sparse + [fresh[0]] + fresh[3:] + [sparse[1], fresh[2]]:
         row = rs.best_row(v)
+        starts.append(rs._last.start)
         want = _poly_cold_value(normals, v)
         assert float(row @ v) == pytest.approx(want, rel=1e-12)
         assert rs.contains(row, tol=1e-12)
+    # The set keeps its last solution, whose tableau the next solve reprices.
+    assert starts[0] == "cold" and "tableau" in starts[1:]
 
 
 def test_halfspace_poly_shared_by_threads():
@@ -307,11 +311,12 @@ def test_halfspace_poly_shared_by_threads():
     rs = HalfspacePoly(normals)
     vs = [rng.random(d) + 1e-3 for _ in range(40)]
     want = [_poly_cold_value(normals, v) for v in vs]
+    want_rows = [HalfspacePoly(normals).best_row(v) for v in vs]
     results = [None] * 4
 
     def work(slot):
         order = np.random.default_rng(slot).permutation(len(vs))
-        results[slot] = {i: float(rs.best_row(vs[i]) @ vs[i]) for i in order}
+        results[slot] = {i: rs.best_row(vs[i]) for i in order}
 
     # More threads than cores, each through the directions in its own order.
     threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
@@ -325,10 +330,13 @@ def test_halfspace_poly_shared_by_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    # Each thread reprices the shared set's last tableau on its own copy,
+    # so it sees what a single thread solving cold sees.
     for got in results:
-        assert got is not None
-        for i, value in got.items():
-            assert value == pytest.approx(want[i], rel=1e-12)
+        assert got is not None and len(got) == len(vs)
+        for i, row in got.items():
+            assert float(row @ vs[i]) == pytest.approx(want[i], rel=1e-12)
+            assert np.allclose(row, want_rows[i], rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------- family kernels against references
