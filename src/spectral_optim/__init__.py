@@ -30,9 +30,7 @@ from .optimize import (
     OptimizerConfig,
     TraceRow,
     linear_rate_bound,
-    matrix_signature,
     optimize,
-    selective_greedy,
 )
 from .apps import (
     DegreeSpec,
@@ -69,9 +67,7 @@ __all__ = [
     "OptimizerConfig",
     "TraceRow",
     "linear_rate_bound",
-    "matrix_signature",
     "optimize",
-    "selective_greedy",
     "DegreeSpec",
     "StabilizationProblem",
     "closest_stable",

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_matrix
-from .optimize import OptimizerConfig, selective_greedy
+from .linalg import check_count, check_matrix
+from .optimize import OptimizationResult, OptimizerConfig, optimize
 from .rows import GraphDegreeSet, L1Ball, ProductFamily
 
 __all__ = [
@@ -50,12 +50,12 @@ class DegreeSpec:
     direction: str = "max"
 
     def __post_init__(self):
-        degrees = tuple(int(n) for n in self.degrees)
+        degrees = tuple(check_count(n, "degree") for n in self.degrees)
         d = len(degrees)
         if d == 0:
             raise ValueError("need at least one vertex")
         for n in degrees:
-            if not (1 <= n <= d):
+            if n > d:
                 raise ValueError(f"degree {n} out of range for {d} vertices")
         if self.direction not in ("max", "min"):
             raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
@@ -69,6 +69,16 @@ def degree_family(spec: DegreeSpec) -> ProductFamily:
     return ProductFamily(tuple(GraphDegreeSet(d, n, sense) for n in spec.degrees))
 
 
+def selective_greedy(family: ProductFamily, cfg: OptimizerConfig,
+                     initial_matrix=None) -> OptimizationResult:
+    """The inner run of every application: :func:`~.optimize.optimize` with
+    selective greedy.  A config naming another method is refused, not
+    rewritten."""
+    if cfg.method != "selective-greedy":
+        raise ValueError(f"selective_greedy cannot run method {cfg.method!r}")
+    return optimize(family, cfg, initial_matrix=initial_matrix)
+
+
 def optimize_graph(spec: DegreeSpec,
                    config: OptimizerConfig | None = None) -> tuple[np.ndarray, float]:
     """Extremal-spectral-radius adjacency matrix for prescribed out-degrees.
@@ -76,8 +86,7 @@ def optimize_graph(spec: DegreeSpec,
     Returns the 0/1 adjacency matrix (row sums exactly equal to the degrees)
     and its spectral radius.
     """
-    cfg = config or OptimizerConfig()
-    cfg = replace(cfg, direction=spec.direction)
+    cfg = replace(config or OptimizerConfig(), direction=spec.direction)
     res = selective_greedy(degree_family(spec), cfg)
     adjacency = np.rint(res.matrix)
     return adjacency, res.rho
@@ -98,8 +107,8 @@ class StabilizationProblem:
         A = check_matrix(self.A)
         if not (np.isfinite(self.target) and self.target >= 0):
             raise ValueError("target must be finite and non-negative")
-        if not (self.r_tol > 0):
-            raise ValueError("r_tol must be positive")
+        if not (np.isfinite(self.r_tol) and self.r_tol > 0):
+            raise ValueError("r_tol must be finite and positive")
         object.__setattr__(self, "A", A)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gen import POLY_NORMALS_NOTE, generate_random_family, generate_random_poly_family
+from .linalg import check_count
 from .optimize import OptimizerConfig, optimize
 
 __all__ = ["BenchSpec", "BenchCell", "run_benchmark", "format_table", "write_csv"]
@@ -49,13 +50,13 @@ class BenchSpec:
     def __post_init__(self):
         if not self.dims or not self.set_sizes:
             raise ValueError("dims and set_sizes must be non-empty")
-        if min(self.dims) < 1 or min(self.set_sizes) < 1:
-            raise ValueError("dims and set_sizes must be at least 1")
+        for name in ("dims", "set_sizes"):
+            for n in getattr(self, name):
+                check_count(n, name)
         lo, hi = self.density_interval
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("density interval must satisfy 0 <= lo <= hi <= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        check_count(self.trials, "trials")
         if self.kind not in ("finite", "poly"):
             raise ValueError(f"kind must be 'finite' or 'poly', got {self.kind!r}")
         object.__setattr__(self, "_config", OptimizerConfig(direction=self.direction,

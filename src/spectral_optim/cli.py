@@ -23,14 +23,14 @@ from . import io as io_mod
 from .apps import DegreeSpec, StabilizationProblem, _radius, closest_stable, optimize_graph
 from .linalg import PowerConfig
 from .demo import run_cycling_demo
-from .optimize import OptimizerConfig, optimize
+from .optimize import _METHODS, OptimizerConfig, optimize
 
 __all__ = ["main"]
 
 # The methods a command line can run.  ``greedy`` is left out: it differs
 # from selective greedy only through an eigenvector hook, which no flag
 # passes.
-_METHOD_CHOICES = ("selective-greedy", "simplex-smallest-index", "simplex-pivot")
+_METHOD_CHOICES = tuple(m for m in _METHODS if m != "greedy")
 
 
 def _num(x: float) -> str:

@@ -99,7 +99,7 @@ def _set_from_dict(obj: dict, d: int, index: int) -> RowSet:
     if kind == "finite":
         return FiniteSet(_decode_array(get("rows")))
     if kind == "graph":
-        return GraphDegreeSet(d, int(get("n")), str(obj.get("sense", "at_most")))
+        return GraphDegreeSet(d, get("n"), str(obj.get("sense", "at_most")))
     if kind == "l1ball":
         return L1Ball(np.array([float(x) for x in get("center")]),
                       float(get("radius")))

@@ -34,6 +34,7 @@ The radius is always read off A itself, at the returned vector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "PowerConfig",
     "Eigenpair",
     "PowerIterationError",
+    "check_count",
     "check_matrix",
     "check_vector",
     "selected_eigenpair",
@@ -93,8 +95,8 @@ class PowerConfig:
     def __post_init__(self):
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be finite and positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.max_iters is not None:
+            check_count(self.max_iters, "max_iters")
 
     def resolve_max_iters(self, d: int) -> int:
         if self.max_iters is not None:
@@ -139,6 +141,18 @@ def check_matrix(A) -> np.ndarray:
     if np.any(M < 0):
         raise ValueError("matrix entries must be non-negative")
     return M
+
+
+def check_count(value, name: str) -> int:
+    """Validate and return a count of at least 1.  Python and numpy integers
+    pass; a float is refused, even an integral one."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    return n
 
 
 def check_vector(v, d: int | None = None) -> np.ndarray:

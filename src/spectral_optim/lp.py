@@ -28,18 +28,17 @@ or two from the optimum, in one of two ways:
   linear solve.  That also happens when the tableau has been carried
   through m pivots (m = the number of standard-form rows) since it was last
   built cold or refactorized, or when its right-hand side shows an entry
-  below ``-tol``: rounding error grows with every rank-1 update, and a
-  fresh factorization bounds it.  The rule is applied as a solve ends: a
-  tableau it condemns is not kept.  A bare basis tuple always takes this
-  path.
+  below -1e-9, the pivot tolerance: rounding error grows with every rank-1
+  update, and a fresh factorization bounds it.  The rule is applied as a
+  solve ends: a tableau it condemns is not kept.
 
-A basis that does not fit the program, or is singular or infeasible for it,
-is ignored and the solve starts cold.  :attr:`LPSolution.start` names the
-path taken.  The kept tableau has (m + 1) x (n + m + 1) floats, beside a
-copy of the constraints.  For a polytope in the unit box of R^d cut by k
-halfspaces (m = k + d, n = d) that is (k + d + 1)(k + 2d + 1) floats: 61 KB
-at d=25, k=50, 303 KB at d=100 and 905 KB at d=200 (k=50), against 11, 42
-and 84 KB for the copy.  Where several vertices are optimal, which one is
+A solution whose basis does not fit the program, or is singular or
+infeasible for it, is ignored and the solve starts cold.
+:attr:`LPSolution.start` names the path taken.  The kept tableau has
+(m + 1) x (n + m + 1) floats, beside a copy of the constraints.  For a
+polytope in the unit box of R^d cut by k halfspaces (m = k + d, n = d) that
+is (k + d + 1)(k + 2d + 1) floats: 61 KB at d=25, k=50, 303 KB at d=100 and
+905 KB at d=200 (k=50), against 11, 42 and 84 KB for the copy.  Where several vertices are optimal, which one is
 returned can depend on the starting basis and on the path.
 """
 
@@ -60,6 +59,9 @@ __all__ = [
 # Pivots without objective gain after which the entering rule switches from
 # Dantzig's to Bland's smallest index.
 _DEGENERATE_RUN = 50
+# Reduced costs, pivot entries, ratio ties and right-hand sides within this
+# of zero count as zero.
+_TOL = 1e-9
 
 
 class LPInfeasibleError(ValueError):
@@ -134,13 +136,13 @@ class LPSolution:
 
     Unpacks as ``x, value``.  ``basis`` holds the indices of the basic
     columns of the standard form (structural, then one slack per constraint
-    row and finite upper bound).  Pass the solution itself to the next
+    row and finite upper bound).  Pass the solution to the next
     :func:`lp_optimize` call on the same constraints to warm-start it from
-    the read-only optimal tableau the solution keeps, or pass ``basis``
-    alone to refactorize from it.  No tableau is kept once the
-    refactorization rule of the module docstring is due.  ``start`` names
-    how this solve began: ``cold``, ``tableau`` (repriced from an earlier
-    solution's tableau) or ``basis`` (refactorized from an earlier basis).
+    the read-only optimal tableau the solution keeps, or from ``basis`` when
+    it keeps none: no tableau is kept once the refactorization rule of the
+    module docstring is due.  ``start`` names how this solve began:
+    ``cold``, ``tableau`` (repriced from an earlier solution's tableau) or
+    ``basis`` (refactorized from an earlier solution's basis).
     """
 
     x: np.ndarray
@@ -161,11 +163,11 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> int:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
     """Drive the tableau to optimality in place; returns the pivot count.
 
     The objective row T[-1] holds z_j - c_j for a maximization; a column
-    among the first ``ncols`` with T[-1, j] < -tol improves the objective.
+    among the first ``ncols`` with T[-1, j] < -_TOL improves the objective.
     """
     m = T.shape[0] - 1
     reduced = T[-1, :ncols]
@@ -174,36 +176,31 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> in
     for pivots in range(max_pivots):
         if degenerate < _DEGENERATE_RUN:
             col = int(reduced.argmin())
-            if reduced[col] >= -tol:
+            if reduced[col] >= -_TOL:
                 return pivots
         else:
-            eligible = np.flatnonzero(reduced < -tol)
+            eligible = np.flatnonzero(reduced < -_TOL)
             if eligible.size == 0:
                 return pivots
             col = int(eligible[0])
-        rows = (T[:m, col] > tol).nonzero()[0]
+        rows = (T[:m, col] > _TOL).nonzero()[0]
         if rows.size == 0:
             raise LPUnboundedError("LP unbounded")
         ratios = T[rows, -1] / T[rows, col]
         least = ratios.min()
-        tied = rows[ratios <= least + tol]
+        tied = rows[ratios <= least + _TOL]
         row = int(tied[basis[tied].argmin()])
-        degenerate = degenerate + 1 if least <= tol else 0
+        degenerate = degenerate + 1 if least <= _TOL else 0
         _pivot(T, basis, row, col)
     raise RuntimeError("simplex exceeded its pivot budget")
 
 
-def _cold_start(A: np.ndarray, b: np.ndarray, tol: float):
+def _cold_start(A: np.ndarray, b: np.ndarray):
     """A feasible tableau and basis for A y <= b, y >= 0, and the phase 1
-    pivot count.  The slack basis when b >= 0; phase 1 otherwise."""
+    pivot count.  With b >= 0 no row is flipped and phase 1 stops at once
+    on the slack basis."""
     m, n = A.shape
     flip = b < 0
-    if not flip.any():
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n:n + m] = np.eye(m)
-        T[:m, -1] = b
-        return T, np.arange(n, n + m), 0
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
     # Columns: n structural, m slack/surplus, then one artificial per flipped
@@ -223,14 +220,14 @@ def _cold_start(A: np.ndarray, b: np.ndarray, tol: float):
     # columns themselves where z_j - c_j = 0.
     T[-1] = -T[art_rows].sum(axis=0)
     T[-1, n + m:ncols] = 0.0
-    pivots = _run_simplex(T, basis, ncols, tol)
+    pivots = _run_simplex(T, basis, ncols)
     if T[-1, -1] < -1e-7:
         raise LPInfeasibleError("LP infeasible")
     # Pivot any artificial still basic (at zero level) out on a real column.
     # A row with no real pivot keeps its artificial; such a basis is not
     # reused for warm starts.
     for i in np.flatnonzero(basis >= n + m):
-        real = np.flatnonzero(np.abs(T[i, :n + m]) > tol)
+        real = np.flatnonzero(np.abs(T[i, :n + m]) > _TOL)
         if real.size:
             _pivot(T, basis, i, int(real[0]))
             pivots += 1
@@ -238,7 +235,7 @@ def _cold_start(A: np.ndarray, b: np.ndarray, tol: float):
     return T, basis, pivots
 
 
-def _warm_start(A: np.ndarray, b: np.ndarray, basis, tol: float):
+def _warm_start(A: np.ndarray, b: np.ndarray, basis):
     """Like :func:`_cold_start`, from a given basis; None when the basis is
     not a feasible basis of A y <= b, y >= 0."""
     m, n = A.shape
@@ -254,7 +251,7 @@ def _warm_start(A: np.ndarray, b: np.ndarray, basis, tol: float):
         solved = np.linalg.solve(M[:, basis], M[:, rest])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(solved)) or np.any(solved[:, -1] < -tol):
+    if not np.all(np.isfinite(solved)) or np.any(solved[:, -1] < -_TOL):
         return None
     T = np.zeros((m + 1, n + m + 1))
     T[:m, rest] = solved
@@ -263,7 +260,7 @@ def _warm_start(A: np.ndarray, b: np.ndarray, basis, tol: float):
     return T, basis, 0
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> int:
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> int:
     """Price the objective ``c`` (max) for the tableau's basis and run the
     simplex to optimality; returns the pivot count."""
     m = T.shape[0] - 1
@@ -272,7 +269,7 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> int:
     cost[:c.size] = c
     T[-1] = cost[basis] @ T[:m]
     T[-1, :ncols] -= cost[:ncols]
-    return _run_simplex(T, basis, ncols, tol)
+    return _run_simplex(T, basis, ncols)
 
 
 def _standard_form(lp: LinearProgram):
@@ -291,15 +288,13 @@ def _standard_form(lp: LinearProgram):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
-                basis: LPSolution | tuple[int, ...] | None = None) -> LPSolution:
+def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolution:
     """Solve the program to an optimal vertex (see :class:`LPSolution`).
 
     ``basis`` is an earlier :class:`LPSolution` of a program with the same
-    constraints, or its :attr:`LPSolution.basis`; the solve then restarts
-    phase 2 from it.  A solution's kept tableau is repriced and reused when
-    the constraints check identical; otherwise, and for a bare basis, the
-    tableau is refactorized from the basis (see the module docstring).
+    constraints; the solve then restarts phase 2 from it.  Its kept tableau
+    is repriced and reused when the constraints check identical; otherwise
+    the tableau is refactorized from its basis (see the module docstring).
 
     Raises
     ------
@@ -310,19 +305,20 @@ def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
     """
     n = lp.objective.shape[0]
     c = lp.objective if lp.sense == "max" else -lp.objective
-    kept = None
-    if isinstance(basis, LPSolution):
-        kept, basis = basis._tableau, basis.basis
+    if basis is not None and not isinstance(basis, LPSolution):
+        raise TypeError(f"basis must be an earlier LPSolution, "
+                        f"got {type(basis).__name__}")
+    kept = None if basis is None else basis._tableau
     if kept is not None and kept.fits(lp):
         T, basic, carried = kept.T.copy(), kept.basis.copy(), kept.carried
         start, pivots = "tableau", 0
     else:
         A, b = _standard_form(lp)
-        warm = None if basis is None else _warm_start(A, b, basis, tol)
+        warm = None if basis is None else _warm_start(A, b, basis.basis)
         start = "cold" if warm is None else "basis"
-        T, basic, pivots = warm if warm is not None else _cold_start(A, b, tol)
+        T, basic, pivots = warm if warm is not None else _cold_start(A, b)
         carried = 0
-    pivots += _phase2(T, basic, c, tol)
+    pivots += _phase2(T, basic, c)
     carried += pivots
 
     y = np.zeros(n)
@@ -330,7 +326,7 @@ def lp_optimize(lp: LinearProgram, tol: float = 1e-9, *,
     y[basic[structural]] = T[:-1, -1][structural]
     x = y + lp.lo
     tableau = None
-    if carried < T.shape[0] - 1 and not np.any(T[:-1, -1] < -tol):
+    if carried < T.shape[0] - 1 and not np.any(T[:-1, -1] < -_TOL):
         constraints = kept.constraints if start == "tableau" else tuple(
             _read_only(a.copy()) for a in (lp.normals, lp.rhs, lp.lo, lp.hi))
         tableau = _Tableau(_read_only(T), _read_only(basic), constraints, carried)

@@ -15,11 +15,10 @@ Methods differ only in which improvable rows they swap per iteration:
   method's limit from the all-ones start), which is what rules out cycling
   on families with reducible members.
 
-:func:`optimize` runs every method.  With ``method="greedy"`` it accepts an
-``eigenvector_fn`` hook that substitutes an arbitrary leading eigenvector; it
-exists so tests and the demo can reproduce the cycling phenomenon that
-selected eigenvectors avoid.  :func:`selective_greedy` is the paper's method
-under its own name.
+:func:`optimize` runs every method; its default is the paper's selective
+greedy.  With ``method="greedy"`` it accepts an ``eigenvector_fn`` hook that
+substitutes an arbitrary leading eigenvector; it exists so tests and the demo
+can reproduce the cycling phenomenon that selected eigenvectors avoid.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .linalg import (
     ZERO_TOL,
     PowerConfig,
     PowerIterationError,
+    check_count,
     check_matrix,
     check_vector,
     selected_eigenpair,
@@ -47,9 +47,7 @@ __all__ = [
     "OptimizerConfig",
     "TraceRow",
     "OptimizationResult",
-    "selective_greedy",
     "optimize",
-    "matrix_signature",
     "linear_rate_bound",
 ]
 
@@ -75,8 +73,8 @@ class OptimizerConfig:
     ----------
     direction : {'max', 'min'}
     method : str
-        One of ``selective-greedy``, ``greedy``, ``simplex-smallest-index``
-        (alias ``simplex``), ``simplex-pivot``.
+        One of ``selective-greedy``, ``greedy``, ``simplex-smallest-index``,
+        ``simplex-pivot``.
     power : PowerConfig
         Eigenpair computation parameters.
     delta : float
@@ -108,14 +106,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.direction not in ("max", "min"):
             raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
-        if self.method == "simplex":
-            object.__setattr__(self, "method", "simplex-smallest-index")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise ValueError("delta must be finite and non-negative")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        check_count(self.max_outer_iters, "max_outer_iters")
         if not (0.0 <= self.reducibility_alpha < 1.0):
             raise ValueError("reducibility_alpha must be in [0, 1)")
 
@@ -167,10 +162,10 @@ class OptimizationResult:
     iterates: list[np.ndarray] | None = None
 
 
-def _row_digests(rows, quantum: float = 1e-12) -> list[bytes]:
-    """One digest per row, of its entries quantized at ``quantum`` as floats
-    (no integer cast to overflow); adding 0.0 merges -0.0 into +0.0."""
-    q = np.rint(np.asarray(rows, dtype=float) / quantum) + 0.0
+def _row_digests(rows) -> list[bytes]:
+    """One digest per row, of its entries quantized at 1e-12 as floats (no
+    integer cast to overflow); adding 0.0 merges -0.0 into +0.0."""
+    q = np.rint(np.asarray(rows, dtype=float) / 1e-12) + 0.0
     return [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in q]
 
 
@@ -181,13 +176,13 @@ def _digest_of_rows(row_digests: list[bytes]) -> bytes:
     return h.digest()
 
 
-def matrix_signature(A, quantum: float = 1e-12) -> bytes:
-    """Content hash of a matrix with entries quantized at ``quantum``.
+def matrix_signature(A) -> bytes:
+    """Content hash of a matrix with entries quantized at 1e-12.
 
     It is the digest of the row count and the per-row digests, so the
     optimizers keep it current by re-hashing only the rows a step changed.
     """
-    return _digest_of_rows(_row_digests(A, quantum))
+    return _digest_of_rows(_row_digests(A))
 
 
 def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
@@ -261,17 +256,19 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
             best = last
         sig = _digest_of_rows(row_digests)
         prev_rho = seen.get(sig)
-        if prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta:
-            trace.append(TraceRow(k, rho, s, t, (), time.perf_counter() - t0, path,
-                                  t1 - t0, t2 - t1))
-            status = STATUS_CYCLE
-            break
-        seen[sig] = rho
-        cand, new_dots = (up, up_dots) if cfg.direction == "max" else (down, down_dots)
-        A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
-                                      cfg.delta, step_kind)
+        cycled = prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta
+        changed = ()
+        if not cycled:
+            seen[sig] = rho
+            cand, new_dots = ((up, up_dots) if cfg.direction == "max"
+                              else (down, down_dots))
+            A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
+                                          cfg.delta, step_kind)
         trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path,
                               t1 - t0, t2 - t1))
+        if cycled:
+            status = STATUS_CYCLE
+            break
         if not changed:
             if cfg.direction == "max" and bool(np.any(v <= ZERO_TOL)):
                 status = STATUS_REDUCIBLE
@@ -360,19 +357,6 @@ def optimize(family: ProductFamily, config: OptimizerConfig | None = None,
     if eigenvector_fn is not None and cfg.method != "greedy":
         raise ValueError("eigenvector_fn is only honored by the greedy method")
     return _drive(family, cfg, eigenvector_fn, initial_matrix)
-
-
-def selective_greedy(family: ProductFamily, config: OptimizerConfig | None = None,
-                     *, initial_matrix=None) -> OptimizationResult:
-    """Greedy relaxation driven by selected eigenvectors (never cycles).
-
-    The paper's method: :func:`optimize` with the default method.  A config
-    naming another method is refused, not rewritten.
-    """
-    cfg = config or OptimizerConfig()
-    if cfg.method != "selective-greedy":
-        raise ValueError(f"selective_greedy cannot run method {cfg.method!r}")
-    return _drive(family, cfg, None, initial_matrix)
 
 
 def linear_rate_bound(family: ProductFamily) -> float:

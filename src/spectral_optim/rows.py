@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_vector
+from .linalg import check_count, check_vector
 from .lp import LinearProgram, LPSolution, lp_optimize
 
 __all__ = [
@@ -196,9 +196,8 @@ class GraphDegreeSet(RowSet):
     sense: str = "at_most"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if not (1 <= self.n <= self.dim):
+        check_count(self.dim, "dim")
+        if check_count(self.n, "n") > self.dim:
             raise ValueError(f"need 1 <= n <= dim, got n={self.n}, dim={self.dim}")
         if self.sense not in ("at_most", "at_least"):
             raise ValueError(f"sense must be 'at_most' or 'at_least', got {self.sense!r}")
@@ -231,8 +230,7 @@ class GraphDegreeSet(RowSet):
 
     def entry_range(self):
         lo = 1.0 if (self.sense == "at_least" and self.n == self.dim) else 0.0
-        hi = 0.0 if (self.sense == "at_most" and self.n == 0) else 1.0
-        return lo, hi
+        return lo, 1.0
 
 
 @dataclass(frozen=True, eq=False)

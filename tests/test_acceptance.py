@@ -15,7 +15,7 @@ import numpy as np
 
 from spectral_optim import (Ellipsoid, OptimizerConfig, PowerConfig,
                             ProductFamily, FiniteSet,
-                            linear_rate_bound, optimize, selective_greedy)
+                            linear_rate_bound, optimize)
 from spectral_optim.apps import (DegreeSpec, StabilizationProblem,
                                  closest_stable, optimize_graph)
 from spectral_optim.bench import BenchSpec, run_benchmark
@@ -39,8 +39,7 @@ def test_criterion_01_worked_family():
     adversarial eigenvector hook cycles at 10 but still certifies the upper
     bound 12.5.  Under 0.1 s."""
     t0 = time.perf_counter()
-    res = selective_greedy(cycling_family(),
-                           OptimizerConfig(power=PowerConfig(eps=1e-12)))
+    res = optimize(cycling_family(), OptimizerConfig(power=PowerConfig(eps=1e-12)))
     g, s = run_cycling_demo()
     elapsed = time.perf_counter() - t0
 
@@ -325,7 +324,7 @@ def test_criterion_09_no_cycles_on_sparse_families():
         n_rows = 1 + t % 3
         fam = generate_random_family(d, n_rows, (0.05, 0.2), seed=9000 + t)
         for direction in ("max", "min"):
-            res = selective_greedy(fam, OptimizerConfig(direction=direction))
+            res = optimize(fam, OptimizerConfig(direction=direction))
             statuses[res.status] = statuses.get(res.status, 0) + 1
             assert res.status != "cycle-detected", (t, direction)
     elapsed = time.perf_counter() - t0

@@ -47,6 +47,13 @@ def test_degree_spec_validation():
         DegreeSpec((1, 1), direction="up")
 
 
+def test_degree_spec_refuses_a_non_integral_degree():
+    # It used to be truncated silently: (2.5, 1, 2) ran as (2, 1, 2).
+    with pytest.raises(ValueError, match="degree must be an integer, got 2.5"):
+        DegreeSpec((2.5, 1, 2))
+    assert DegreeSpec(tuple(np.array([2, 1, 2]))).degrees == (2, 1, 2)
+
+
 def test_seven_vertex_degree_sequence():
     adjacency, rho = optimize_graph(DegreeSpec(demo.DEMO_DEGREES))
     assert rho == pytest.approx(3.21432, abs=1e-4)
@@ -105,6 +112,13 @@ def test_stabilization_problem_validation():
         StabilizationProblem(np.eye(2), r_tol=0.0)
 
 
+def test_stabilization_problem_refuses_an_infinite_r_tol():
+    # An infinite tolerance would skip the bisection and return the bracket
+    # top (r = 3 for this matrix, whose critical radius is 2).
+    with pytest.raises(ValueError, match="r_tol must be finite"):
+        StabilizationProblem(np.array([[2.0, 1.0], [1.0, 2.0]]), r_tol=np.inf)
+
+
 def test_closest_stable_scalar():
     X, r = closest_stable(StabilizationProblem(np.array([[2.0]])))
     assert r == pytest.approx(1.0, abs=3e-6)
@@ -131,9 +145,8 @@ def test_closest_stable_circulant():
     assert np.all(X >= 0.0)
     assert np.max(np.abs(X - A).sum(axis=1)) <= r + 1e-9
     # a visibly smaller ball cannot reach the target
-    from spectral_optim.optimize import OptimizerConfig, selective_greedy
-    short = selective_greedy(stabilization_family(A, 0.99),
-                             OptimizerConfig(direction="min"))
+    from spectral_optim.optimize import OptimizerConfig, optimize
+    short = optimize(stabilization_family(A, 0.99), OptimizerConfig(direction="min"))
     assert short.rho > 1.0 + 1e-6
 
 

@@ -183,6 +183,26 @@ def test_bench_spec_rejects_empty_cells_and_a_bad_density(kwargs):
         BenchSpec(**spec)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(dims=(2.5,)),
+    dict(set_sizes=(2, 2.5)),
+    dict(trials=2.5),
+])
+def test_bench_spec_refuses_non_integral_counts(kwargs):
+    # Caught at construction: dims=(2.5,) used to fail every trial.
+    spec = dict(dims=(2,), set_sizes=(2,))
+    spec.update(kwargs)
+    with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+        BenchSpec(**spec)
+
+
+def test_bench_spec_takes_numpy_integers():
+    spec = BenchSpec(dims=tuple(np.array([3])), set_sizes=(np.int64(2),),
+                     trials=np.int32(2))
+    (cell,) = run_benchmark(spec, threads=1)
+    assert cell.failures == 0
+
+
 def test_bench_spec_rejects_a_bad_direction_or_method():
     # Caught at construction, not reported as a failure of every trial.
     with pytest.raises(ValueError, match="direction"):

@@ -82,6 +82,9 @@ def test_family_dict_errors():
         family_from_dict(obj)
     with pytest.raises(ValueError, match="unknown row set type"):
         family_from_dict({"d": 1, "sets": [{"type": "fuzzy"}]})
+    # A fractional degree budget is refused, not truncated.
+    with pytest.raises(ValueError, match="n must be an integer"):
+        family_from_dict({"d": 3, "sets": [{"type": "graph", "n": 2.5}] * 3})
 
 
 def test_matrix_round_trip(tmp_path):
@@ -206,6 +209,14 @@ def test_cli_optimize_rejects_a_non_finite_eps(tmp_path, capsys):
     code = main(["optimize", "--family", _family_file(tmp_path), "--eps", "inf"])
     assert code == 2
     assert capsys.readouterr().err == "error: eps must be finite and positive\n"
+
+
+def test_cli_stabilize_rejects_a_non_finite_rtol(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    save_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]), path)
+    code = main(["stabilize", "--matrix", str(path), "--rtol", "inf"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: r_tol must be finite and positive\n"
 
 
 def test_cli_bench_writes_table_and_csv(tmp_path, capsys):

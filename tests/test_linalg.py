@@ -269,6 +269,12 @@ def test_input_validation():
         PowerConfig(max_iters=0)
 
 
+def test_power_config_refuses_a_non_integral_budget():
+    with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
+        PowerConfig(max_iters=2.5)
+    assert PowerConfig(max_iters=np.int64(3)).resolve_max_iters(5) == 3
+
+
 def test_power_config_rejects_a_non_finite_eps():
     # eps = inf would stop every power stage after its first iterate.
     with pytest.raises(ValueError, match="eps must be finite"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectral_optim import LinearProgram, LPInfeasibleError, LPUnboundedError, lp_optimize
+from spectral_optim.lp import LPSolution
 
 from oracles import run_random_lp_comparison
 
@@ -132,17 +133,17 @@ def _boxed_lp(objective, normals):
 def test_warm_start_matches_cold_solves():
     rng = np.random.default_rng(21)
     normals = rng.random((8, 6))
-    basis = None
+    prev = None
     for _ in range(30):
         lp = _boxed_lp(rng.normal(size=6), normals)
         cold = lp_optimize(lp)
-        warm = lp_optimize(lp, basis=basis)
+        warm = lp_optimize(lp, basis=prev)
         assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
         assert np.all(normals @ warm.x <= 1.0 + 1e-10)
         assert np.all(warm.x >= -1e-10) and np.all(warm.x <= 1.0 + 1e-10)
-        # Restarting at the optimal basis of the same objective takes no pivot.
-        assert lp_optimize(lp, basis=warm.basis).pivots == 0
-        basis = warm.basis
+        # Restarting at the optimum of the same objective takes no pivot.
+        assert lp_optimize(lp, basis=warm).pivots == 0
+        prev = warm
 
 
 def test_unusable_warm_basis_falls_back_to_a_cold_solve():
@@ -151,34 +152,42 @@ def test_unusable_warm_basis_falls_back_to_a_cold_solve():
                        lo=np.zeros(2), hi=np.ones(2))
     cold = lp_optimize(lp)
     # Standard-form columns: x0, x1, then slacks of the two rows and the two
-    # upper bounds.
+    # upper bounds.  A solution without a kept tableau restarts from its
+    # basis, as one of other constraints does.
     for basis in [(0, 1, 2),          # wrong length
                   (0, 1, 2, 9),       # index out of range
                   (0, 0, 4, 5),       # repeated index
                   (0, 1, 4, 5),       # singular: the two rows are equal
                   (0, 1, 2, 3)]:      # infeasible: x = (1, 1) breaks x0 + x1 <= 1
-        warm = lp_optimize(lp, basis=basis)
+        earlier = LPSolution(cold.x, cold.value, basis, 0, "cold", _tableau=None)
+        warm = lp_optimize(lp, basis=earlier)
         assert np.array_equal(warm.x, cold.x)
         assert warm.value == cold.value
         assert warm.pivots == cold.pivots
     assert cold.value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_a_bare_basis_is_refused():
+    lp = _boxed_lp(np.ones(2), np.ones((1, 2)))
+    with pytest.raises(TypeError, match="LPSolution"):
+        lp_optimize(lp, basis=lp_optimize(lp).basis)
+
+
 def test_warm_start_from_a_phase_one_basis():
-    # rhs < 0 forces phase 1 on the cold solve; its basis warm-starts the
+    # rhs < 0 forces phase 1 on the cold solve; its solution warm-starts the
     # next objective.
     rng = np.random.default_rng(22)
     normals = np.vstack([rng.random((3, 4)), -np.ones((1, 4))])
     rhs = np.array([1.5, 1.5, 1.5, -0.5])
-    basis = None
+    prev = None
     for _ in range(10):
         lp = LinearProgram(objective=rng.normal(size=4), normals=normals, rhs=rhs,
                            lo=np.zeros(4), hi=np.ones(4))
         cold = lp_optimize(lp)
-        warm = lp_optimize(lp, basis=basis)
+        warm = lp_optimize(lp, basis=prev)
         assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
         assert np.all(normals @ warm.x <= rhs + 1e-10)
-        basis = warm.basis
+        prev = warm
 
 
 def test_a_solution_of_other_constraints_is_not_repriced():

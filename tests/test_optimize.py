@@ -1,6 +1,6 @@
 """Optimizer tests: greedy steps, cycle handling, statuses, traces, brute force.
 
-Every method runs through ``optimize`` (or ``selective_greedy``); single
+Every method runs through ``optimize``; single
 steps and the cycle rule are observed on the driver's trace and iterates.
 
 Expected values were computed by hand (dot products against pinned
@@ -19,7 +19,6 @@ from spectral_optim.optimize import (
     linear_rate_bound,
     matrix_signature,
     optimize,
-    selective_greedy,
 )
 from spectral_optim.rows import FiniteSet, L1Ball, ProductFamily
 from spectral_optim import demo, generate_random_family
@@ -248,7 +247,7 @@ def test_detect_cycle_needs_a_repeat():
 # ------------------------------------------------------------- fixture runs
 
 def test_selective_greedy_max_on_fixture():
-    res = selective_greedy(demo.cycling_family(), OptimizerConfig(power=TIGHT))
+    res = optimize(demo.cycling_family(), OptimizerConfig(power=TIGHT))
     assert res.status == "optimal"
     assert res.rho == pytest.approx(12.0, abs=1e-9)
     assert res.iterations == 3
@@ -264,7 +263,7 @@ def test_selective_greedy_max_on_fixture():
 
 def test_selective_greedy_min_on_fixture():
     cfg = OptimizerConfig(direction="min", power=TIGHT)
-    res = selective_greedy(demo.cycling_family(), cfg)
+    res = optimize(demo.cycling_family(), cfg)
     assert res.status == "optimal"
     assert res.rho == pytest.approx(4.0, abs=1e-9)
     assert res.iterations == 1
@@ -322,7 +321,7 @@ def test_greedy_without_hook_escapes_the_trap():
 
 def test_max_iters_status_reports_last_iterate():
     cfg = OptimizerConfig(max_outer_iters=1, power=TIGHT)
-    res = selective_greedy(demo.cycling_family(), cfg)
+    res = optimize(demo.cycling_family(), cfg)
     assert res.status == "max-iters"
     assert res.iterations == 1
     assert res.rho == pytest.approx(10.0, abs=1e-9)
@@ -344,7 +343,7 @@ def test_bound_certified_when_gap_is_tiny_at_exhaustion():
 
 def test_reducible_detected_on_degenerate_eigenvector():
     fam = _finite_family([[[20.0, 0.0]], [[0.0, 0.0]]])
-    res = selective_greedy(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)))
+    res = optimize(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)))
     assert res.status == "reducible-detected"
     assert res.rho == pytest.approx(20.0, abs=1e-9)
     assert res.perturbed_result is not None
@@ -362,8 +361,8 @@ def test_reducible_pullback_rescues_a_stalled_run():
         [[2.0, 0.0]],
         [[0.0, 0.0], [0.0, 2.5]],
     ])
-    res = selective_greedy(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)),
-                           initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
+    res = optimize(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)),
+                   initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert res.status == "reducible-detected"
     assert res.rho == pytest.approx(2.5, abs=1e-9)
     np.testing.assert_allclose(res.matrix, [[2.0, 0.0], [0.0, 2.5]], atol=1e-12)
@@ -378,8 +377,8 @@ def test_reducible_retry_through_an_l1_ball_returns_a_family_member():
         L1Ball(np.array([2.0, 0.0]), 0.5),
         FiniteSet(np.array([[0.0, 0.0], [0.0, 3.0]])),
     ))
-    res = selective_greedy(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)),
-                           initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
+    res = optimize(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)),
+                   initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert res.status == "reducible-detected"
     assert res.rho == 3.0
     assert fam.contains_matrix(res.matrix, 0.0)
@@ -394,7 +393,7 @@ def test_reducible_retry_survives_a_small_power_budget():
         [[0.0, 0.0], [0.0, 2.5]],
     ])
     cfg = OptimizerConfig(power=PowerConfig(eps=1e-13, max_iters=60))
-    res = selective_greedy(fam, cfg, initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
+    res = optimize(fam, cfg, initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert res.status == "reducible-detected"
     assert "fallback" in {r.eigen_path for r in res.perturbed_result.trace}
     np.testing.assert_allclose(res.matrix, [[2.0, 0.0], [0.0, 2.5]], atol=1e-12)
@@ -436,7 +435,7 @@ def test_trace_names_the_eigen_path():
 
 
 def test_trace_is_sandwiched_and_monotone_on_fixture():
-    res = selective_greedy(demo.cycling_family(), OptimizerConfig(power=TIGHT))
+    res = optimize(demo.cycling_family(), OptimizerConfig(power=TIGHT))
     assert isinstance(res.trace, list)
     assert np.all(np.diff([r.rho for r in res.trace]) >= -1e-12)
     for k, row in enumerate(res.trace, start=1):
@@ -492,11 +491,11 @@ def test_rho_stays_inside_its_own_bound_on_polytopes():
 
 def test_record_iterates_keeps_every_visited_matrix():
     cfg = OptimizerConfig(power=TIGHT, record_iterates=True)
-    res = selective_greedy(demo.cycling_family(), cfg)
+    res = optimize(demo.cycling_family(), cfg)
     assert len(res.iterates) == res.iterations
     np.testing.assert_array_equal(res.iterates[0], SWAP_A)
     np.testing.assert_array_equal(res.iterates[-1], res.matrix)
-    plain = selective_greedy(demo.cycling_family(), OptimizerConfig(power=TIGHT))
+    plain = optimize(demo.cycling_family(), OptimizerConfig(power=TIGHT))
     assert plain.iterates is None
 
 
@@ -511,12 +510,11 @@ def test_optimize_rejects_hook_outside_greedy():
         optimize(fam, OptimizerConfig(method="simplex-pivot"), eigenvector_fn=hook)
 
 
-def test_simplex_alias_and_method_coercion():
-    assert OptimizerConfig(method="simplex").method == "simplex-smallest-index"
-    # selective_greedy refuses a config for another method instead of
-    # rewriting it; optimize runs the method the config names.
-    with pytest.raises(ValueError, match="simplex-pivot"):
-        selective_greedy(demo.cycling_family(), OptimizerConfig(method="simplex-pivot"))
+def test_each_method_has_one_spelling():
+    # The short alias is refused, as on the command line, not rewritten;
+    # optimize runs the method the config names.
+    with pytest.raises(ValueError, match="unknown method 'simplex'"):
+        OptimizerConfig(method="simplex")
     res = optimize(demo.cycling_family(), OptimizerConfig(method="greedy", power=TIGHT))
     assert res.method == "greedy"
 
@@ -534,6 +532,13 @@ def test_config_validation():
         OptimizerConfig(reducibility_alpha=1.0)
 
 
+def test_config_refuses_a_non_integral_pass_cap():
+    with pytest.raises(ValueError, match="max_outer_iters must be an integer, got 2.5"):
+        OptimizerConfig(max_outer_iters=2.5)
+    res = optimize(demo.cycling_family(), OptimizerConfig(max_outer_iters=np.int32(1)))
+    assert res.iterations == 1
+
+
 @pytest.mark.parametrize("delta", [np.nan, np.inf])
 def test_config_rejects_a_non_finite_delta(delta):
     # A NaN or infinite threshold makes no row improvable, so the first pass would end
@@ -545,9 +550,9 @@ def test_config_rejects_a_non_finite_delta(delta):
 def test_initial_matrix_validation():
     fam = demo.cycling_family()
     with pytest.raises(ValueError):
-        selective_greedy(fam, initial_matrix=np.eye(2))
+        optimize(fam, initial_matrix=np.eye(2))
     with pytest.raises(ValueError):
-        selective_greedy(fam, initial_matrix=-np.eye(3))
+        optimize(fam, initial_matrix=-np.eye(3))
 
 
 def test_initial_matrix_must_be_a_member():

@@ -52,6 +52,15 @@ def test_graph_degree_examples():
                           (1.0, 1.0, 1.0))
 
 
+def test_graph_degree_set_refuses_non_integral_sizes():
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+        GraphDegreeSet(2.5, 1)
+    with pytest.raises(ValueError, match="n must be an integer, got 1.5"):
+        GraphDegreeSet(3, 1.5)
+    rs = GraphDegreeSet(np.int64(3), np.int32(2))
+    assert np.array_equal(rs.best_row(np.array([0.5, 0.2, 0.9])), (1.0, 0.0, 1.0))
+
+
 def test_l1ball_examples():
     rs = L1Ball(np.array([2.0, 3.0]), 4.0)
     assert np.allclose(rs.best_row(np.array([1.0, 2.0]), "min"), (1.0, 0.0), atol=1e-12)
