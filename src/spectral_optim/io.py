@@ -161,12 +161,13 @@ def load_matrix(path) -> np.ndarray:
 
 def write_trace_csv(trace, path) -> None:
     """One CSV row per outer iteration; changed rows are ';'-joined indices,
-    then come the pass's eigen path (``TraceRow.eigen_path``) and its time
-    in the eigen stage and in the row oracle (``eigen_s``, ``oracle_s``)."""
+    then come the pass's eigen path (``TraceRow.eigen_path``), its time in
+    the eigen stage and in the row oracle (``eigen_s``, ``oracle_s``) and its
+    power iterations (``power_iters``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s",
-                    "eigen_path", "eigen_s", "oracle_s"])
+                    "eigen_path", "eigen_s", "oracle_s", "power_iters"])
         for row in trace:
             w.writerow([
                 row.iteration,
@@ -178,4 +179,5 @@ def write_trace_csv(trace, path) -> None:
                 row.eigen_path,
                 repr(float(row.eigen_s)),
                 repr(float(row.oracle_s)),
+                int(row.power_iters),
             ])

@@ -1,45 +1,66 @@
-"""Small dense linear programming solver (two-phase primal simplex).
+"""Small dense linear programming solver (bounded-variable primal simplex).
 
 Solves max/min of a linear objective subject to inequality constraints
 (normal, x) <= rhs and box bounds lo <= x <= hi.  Solutions are always
 vertices of the feasible polytope, which is what the row-set optimizers need:
 a vertex row keeps the iteration on extreme points of the uncertainty sets.
 
-The implementation is the classical tableau method; each pivot is one rank-1
-update of the tableau.  The entering column has the most negative reduced
-cost (Dantzig's rule) and the leaving row the minimum ratio, ties within the
-tolerance going to the smallest basic index.  Dantzig's rule can cycle on a
-degenerate vertex, so after a fixed run of pivots without objective gain the
+The box is not a set of constraint rows: each variable carries its bounds
+(Chvatal, *Linear Programming*, ch. 8).  With y = x - lo and one slack per
+constraint row, the tableau has m + 1 rows (m = the number of constraint
+rows) and n + m + 1 columns.  A nonbasic variable sits at its lower or at its
+upper bound; one at its upper bound is complemented (y' = hi - lo - y), so
+every nonbasic variable reads 0 in the tableau and every basis change is one
+rank-1 update of it.  When the entering variable reaches its own other bound
+before any basic variable reaches one of its bounds, the step is a *bound
+flip*: the variable is complemented, which changes its column and the
+right-hand side, and the basis stays.
+
+The entering column has the largest steepest-edge score d_j^2 / w_j, where
+d_j is its reduced cost and w_j = 1 + ||column j||^2 the squared length of
+its edge (Goldfarb & Reid, *Math. Programming* 12, 1977).  The weights are
+exact: the tableau holds every column, so they are recomputed from its body
+after each pivot and kept with it, and a warm solve prices with them.  (At
+m = 50, up to about 1,000 columns, one pass over the body takes less time
+than Goldfarb and Reid's update by the product of the entering column with
+the body.)  Flips and complemented rows change signs, not weights.  The
+leaving row has the minimum ratio, ties within the tolerance going to the
+smallest basic index; ties in the score go to the lowest column.  A rule of
+this kind can cycle on a degenerate vertex, so after a fixed run of steps
+without objective gain (a flip of a fixed variable, lo == hi, is one) the
 entering column becomes the smallest eligible index instead.  Together with
-the leaving tie-break that is Bland's rule (Bland 1977), which cannot cycle;
-the first pivot with a gain switches back to Dantzig's rule.
+the leaving tie-break that is Bland's rule (Bland 1977), which cannot
+cycle; the first step with a gain switches back to steepest edge.  Rows
+with a negative right-hand side at y = 0 get an artificial variable and a
+phase 1 that removes it.
 
 A solve may start from an earlier :class:`LPSolution` of the same
 constraints, where only the objective or the sense differ.  Its optimal
 basis is still primal feasible, so phase 2 restarts there, usually a pivot
 or two from the optimum, in one of two ways:
 
-* *tableau*: the solution keeps a read-only copy of its optimal tableau.
-  The new solve copies it, reprices the objective row for the new
-  objective and pivots on: no linear solve and no rebuild of the standard
-  form.  This needs the constraints to be checked identical, not assumed:
-  normals, rhs, lo and hi are compared with the copy the tableau keeps.
-* *basis*: otherwise the tableau is refactorized from the basis with one
-  linear solve.  That also happens when the tableau has been carried
-  through m pivots (m = the number of standard-form rows) since it was last
-  built cold or refactorized, or when its right-hand side shows an entry
-  below -1e-9, the pivot tolerance: rounding error grows with every rank-1
-  update, and a fresh factorization bounds it.  The rule is applied as a
-  solve ends: a tableau it condemns is not kept.
+* *tableau*: the solution keeps a read-only copy of its optimal tableau and
+  weights.  The new solve copies them, reprices the objective row for the
+  new objective and pivots on: no linear solve and no rebuild.  This needs
+  the constraints to be checked identical, not assumed: normals, rhs, lo
+  and hi are compared with the copy the tableau keeps.
+* *basis*: otherwise the tableau is refactorized from the basis and the
+  columns held at their upper bound with one linear solve.  That also
+  happens when the tableau has been carried through m pivots since it was
+  last built cold or refactorized, or when its right-hand side shows a
+  basic value more than 1e-9, the pivot tolerance, outside its bounds:
+  rounding error grows with every rank-1 update, and a fresh factorization
+  bounds it.  The rule is applied as a solve ends: a tableau it condemns is
+  not kept.
 
 A solution whose basis does not fit the program, or is singular or
 infeasible for it, is ignored and the solve starts cold.
 :attr:`LPSolution.start` names the path taken.  The kept tableau has
-(m + 1) x (n + m + 1) floats, beside a copy of the constraints.  For a
-polytope in the unit box of R^d cut by k halfspaces (m = k + d, n = d) that
-is (k + d + 1)(k + 2d + 1) floats: 61 KB at d=25, k=50, 303 KB at d=100 and
-905 KB at d=200 (k=50), against 11, 42 and 84 KB for the copy.  Where several vertices are optimal, which one is
-returned can depend on the starting basis and on the path.
+(m + 1)(n + m + 1) floats, beside a copy of the constraints.  For a
+polytope in the unit box of R^d cut by m halfspaces that is 31 KB at d=25,
+m=50, 61 KB at d=100 and 102 KB at d=200 (m=50), against 11, 42 and 84 KB
+for the copy.  Where several vertices are optimal, which one is returned
+can depend on the starting basis and on the path.
 """
 
 from __future__ import annotations
@@ -56,8 +77,8 @@ __all__ = [
     "lp_optimize",
 ]
 
-# Pivots without objective gain after which the entering rule switches from
-# Dantzig's to Bland's smallest index.
+# Steps without objective gain after which the entering rule switches from
+# steepest edge to Bland's smallest index.
 _DEGENERATE_RUN = 50
 # Reduced costs, pivot entries, ratio ties and right-hand sides within this
 # of zero count as zero.
@@ -109,13 +130,17 @@ class LinearProgram:
 @dataclass(frozen=True, eq=False)
 class _Tableau:
     """An optimal tableau kept for the next solve, with its basis, the
-    constraints it was built from and the pivots it has been carried through
-    since it was last built cold or refactorized.  Every array is read-only:
-    a solve that restarts here works on copies."""
+    columns held at their upper bound, the steepest-edge weights, the
+    constraints it was built from, their upper bounds and the pivots it has
+    been carried through since it was last built cold or refactorized.
+    Every array is read-only: a solve that restarts here works on copies."""
 
     T: np.ndarray
     basis: np.ndarray
+    at_upper: np.ndarray
+    weights: np.ndarray
     constraints: tuple[np.ndarray, ...]   # normals, rhs, lo, hi
+    u: np.ndarray                         # upper bounds after the shift to lo = 0
     carried: int
 
     def fits(self, lp: LinearProgram) -> bool:
@@ -132,23 +157,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LPSolution:
     """An optimal vertex ``x``, its objective ``value``, the final ``basis``
-    and the number of ``pivots`` taken.
+    and ``at_upper``, and the numbers of ``pivots`` and bound ``flips`` taken.
 
-    Unpacks as ``x, value``.  ``basis`` holds the indices of the basic
-    columns of the standard form (structural, then one slack per constraint
-    row and finite upper bound).  Pass the solution to the next
-    :func:`lp_optimize` call on the same constraints to warm-start it from
-    the read-only optimal tableau the solution keeps, or from ``basis`` when
-    it keeps none: no tableau is kept once the refactorization rule of the
-    module docstring is due.  ``start`` names how this solve began:
-    ``cold``, ``tableau`` (repriced from an earlier solution's tableau) or
-    ``basis`` (refactorized from an earlier solution's basis).
+    Unpacks as ``x, value``.  Columns are numbered structural first, then
+    one slack per constraint row; ``basis`` holds the basic column of each
+    row and ``at_upper`` the nonbasic columns held at their upper bound (the
+    others are at their lower bound).  ``pivots`` counts basis changes and
+    ``flips`` the steps that moved one variable to its other bound.  Pass
+    the solution to the next :func:`lp_optimize` call on the same
+    constraints to warm-start it from the read-only optimal tableau the
+    solution keeps, or from ``basis`` and ``at_upper`` when it keeps none:
+    no tableau is kept once the refactorization rule of the module docstring
+    is due.  ``start`` names how this solve began: ``cold``, ``tableau``
+    (repriced from an earlier solution's tableau) or ``basis`` (refactorized
+    from an earlier solution's basis).
     """
 
     x: np.ndarray
     value: float
     basis: tuple[int, ...]
+    at_upper: tuple[int, ...]
     pivots: int
+    flips: int
     start: str
     _tableau: _Tableau | None = field(default=None, repr=False)
 
@@ -163,42 +193,91 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
-    """Drive the tableau to optimality in place; returns the pivot count.
+def _weights(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact steepest-edge weights 1 + ||column||^2 of the tableau body,
+    into ``out`` when given."""
+    body = T[:-1, :-1]
+    out = np.einsum("ij,ij->j", body, body, out=out)
+    out += 1.0
+    return out
+
+
+def _complement_row(T, at_upper, u, row: int, col: int) -> None:
+    """Substitute u_col - y for the basic variable ``col`` of ``row``."""
+    T[row] *= -1.0
+    T[row, col] = 1.0
+    T[row, -1] += u[col]
+    at_upper[col] = not at_upper[col]
+
+
+def _exchange(T, basis, at_upper, u, w, row: int, col: int) -> None:
+    """Pivot ``col`` into the basis at ``row`` and recompute the weights."""
+    _pivot(T, basis, row, col)
+    if at_upper[col]:
+        _complement_row(T, at_upper, u, row, col)
+    _weights(T, out=w)
+
+
+def _run_simplex(T, basis, at_upper, u, w) -> tuple[int, int]:
+    """Drive the tableau to optimality in place; returns (pivots, flips).
 
     The objective row T[-1] holds z_j - c_j for a maximization; a column
-    among the first ``ncols`` with T[-1, j] < -_TOL improves the objective.
+    with T[-1, j] < -_TOL improves the objective.  ``u`` holds the upper
+    bound of every column (after the shift to lo = 0) and of every index the
+    basis may hold; ``at_upper`` marks the complemented columns.
     """
     m = T.shape[0] - 1
+    ncols = w.size
     reduced = T[-1, :ncols]
-    max_pivots = 20000 * (ncols + m)
-    degenerate = 0
-    for pivots in range(max_pivots):
+    rhs = T[:m, -1]
+    basic_upper = u[basis]
+    ratios = np.empty(m)
+    pivots = flips = degenerate = 0
+    for _ in range(20000 * (ncols + m)):
+        eligible = reduced < -_TOL
         if degenerate < _DEGENERATE_RUN:
-            col = int(reduced.argmin())
-            if reduced[col] >= -_TOL:
-                return pivots
+            score = np.where(eligible, reduced, 0.0)
+            score *= score
+            score /= w
+            col = int(score.argmax())
         else:
-            eligible = np.flatnonzero(reduced < -_TOL)
-            if eligible.size == 0:
-                return pivots
-            col = int(eligible[0])
-        rows = (T[:m, col] > _TOL).nonzero()[0]
-        if rows.size == 0:
-            raise LPUnboundedError("LP unbounded")
-        ratios = T[rows, -1] / T[rows, col]
-        least = ratios.min()
-        tied = rows[ratios <= least + _TOL]
-        row = int(tied[basis[tied].argmin()])
+            col = int(eligible.argmax())
+        if not eligible[col]:
+            return pivots, flips
+        # A basic variable falls to 0 on a positive entry of the column and
+        # rises to its upper bound on a negative one.
+        a = T[:m, col]
+        size = np.abs(a)
+        room = np.where(a > 0.0, rhs, basic_upper - rhs)
+        ratios[:] = np.inf
+        np.divide(room, size, out=ratios, where=size > _TOL)
+        least = ratios.min() if m else np.inf
+        bound = u[col]
+        if bound <= least:
+            if bound == np.inf:
+                raise LPUnboundedError("LP unbounded")
+            # Bound flip: complement the entering column; the basis stays.
+            degenerate = degenerate + 1 if bound <= _TOL else 0
+            T[:, -1] -= T[:, col] * bound
+            T[:, col] *= -1.0
+            at_upper[col] = not at_upper[col]
+            flips += 1
+            continue
+        tied = (ratios <= least + _TOL).nonzero()[0]
+        row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
         degenerate = degenerate + 1 if least <= _TOL else 0
-        _pivot(T, basis, row, col)
+        if a[row] < 0.0:
+            _complement_row(T, at_upper, u, row, int(basis[row]))
+        _exchange(T, basis, at_upper, u, w, row, col)
+        basic_upper[row] = bound
+        pivots += 1
     raise RuntimeError("simplex exceeded its pivot budget")
 
 
-def _cold_start(A: np.ndarray, b: np.ndarray):
-    """A feasible tableau and basis for A y <= b, y >= 0, and the phase 1
-    pivot count.  With b >= 0 no row is flipped and phase 1 stops at once
-    on the slack basis."""
+def _cold_start(A: np.ndarray, b: np.ndarray, u: np.ndarray):
+    """A feasible tableau, basis, bound flags and weights for A y <= b,
+    0 <= y <= u, and the phase 1 pivot and flip counts.  With b >= 0 no row
+    is flipped and phase 1 stops at once on the slack basis."""
     m, n = A.shape
     flip = b < 0
     A = np.where(flip[:, None], -A, A)
@@ -215,12 +294,14 @@ def _cold_start(A: np.ndarray, b: np.ndarray):
     T[:m, -1] = b
     basis = np.arange(n, n + m)
     basis[art_rows] = n + m + np.arange(n_art)
+    at_upper = np.zeros(ncols, dtype=bool)
+    w = _weights(T)
     # Phase 1: maximize -sum(artificials).  With artificials basic the
     # priced objective row is -sum of their rows, except on the artificial
     # columns themselves where z_j - c_j = 0.
     T[-1] = -T[art_rows].sum(axis=0)
     T[-1, n + m:ncols] = 0.0
-    pivots = _run_simplex(T, basis, ncols)
+    pivots, flips = _run_simplex(T, basis, at_upper, u, w)
     if T[-1, -1] < -1e-7:
         raise LPInfeasibleError("LP infeasible")
     # Pivot any artificial still basic (at zero level) out on a real column.
@@ -229,20 +310,28 @@ def _cold_start(A: np.ndarray, b: np.ndarray):
     for i in np.flatnonzero(basis >= n + m):
         real = np.flatnonzero(np.abs(T[i, :n + m]) > _TOL)
         if real.size:
-            _pivot(T, basis, i, int(real[0]))
+            _exchange(T, basis, at_upper, u, w, i, int(real[0]))
             pivots += 1
     T = np.delete(T, np.s_[n + m:ncols], axis=1)
-    return T, basis, pivots
+    return T, basis, at_upper[:n + m], w[:n + m], pivots, flips
 
 
-def _warm_start(A: np.ndarray, b: np.ndarray, basis):
-    """Like :func:`_cold_start`, from a given basis; None when the basis is
-    not a feasible basis of A y <= b, y >= 0."""
+def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, basis, at_upper):
+    """Like :func:`_cold_start`, from a given basis and set of columns at
+    their upper bound; None when they are not a feasible basis of
+    A y <= b, 0 <= y <= u."""
     m, n = A.shape
     basis = np.asarray(basis, dtype=np.intp)
+    upper = np.asarray(at_upper, dtype=np.intp)
     if (basis.shape != (m,) or np.unique(basis).size != m
-            or (m and (basis.min() < 0 or basis.max() >= n + m))):
+            or (m and (basis.min() < 0 or basis.max() >= n + m))
+            or (upper.size and (upper.min() < 0 or upper.max() >= n + m))):
         return None
+    flags = np.zeros(n + m, dtype=bool)
+    flags[upper] = True
+    if np.any(flags[basis]) or not np.all(np.isfinite(u[upper])):
+        return None
+    b = b - A[:, flags[:n]] @ u[:n][flags[:n]]
     M = np.hstack([A, np.eye(m), b[:, None]])
     # The basic columns come out as the identity: solve for the others only.
     rest = np.ones(n + m + 1, dtype=bool)
@@ -251,41 +340,31 @@ def _warm_start(A: np.ndarray, b: np.ndarray, basis):
         solved = np.linalg.solve(M[:, basis], M[:, rest])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(solved)) or np.any(solved[:, -1] < -_TOL):
+    values = solved[:, -1]
+    if (not np.all(np.isfinite(solved)) or np.any(values < -_TOL)
+            or np.any(values > u[basis] + _TOL)):
         return None
     T = np.zeros((m + 1, n + m + 1))
     T[:m, rest] = solved
     T[np.arange(m), basis] = 1.0
-    np.maximum(T[:m, -1], 0.0, out=T[:m, -1])
-    return T, basis, 0
+    np.clip(T[:m, -1], 0.0, u[basis], out=T[:m, -1])
+    T[:m, :-1][:, flags] *= -1.0
+    return T, basis, flags, _weights(T), 0, 0
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> int:
-    """Price the objective ``c`` (max) for the tableau's basis and run the
-    simplex to optimality; returns the pivot count."""
+def _phase2(T, basis, at_upper, u, w, c: np.ndarray) -> tuple[int, int]:
+    """Price the objective ``c`` (max) for the tableau's basis and bound
+    flags and run the simplex to optimality; returns (pivots, flips)."""
     m = T.shape[0] - 1
-    ncols = T.shape[1] - 1
+    ncols = w.size
     cost = np.zeros(ncols + m)   # room for artificials left basic at zero
     cost[:c.size] = c
+    # A complemented column y' = u - y carries cost -c and adds c u.
+    signed = np.where(at_upper, -cost[:ncols], cost[:ncols])
     T[-1] = cost[basis] @ T[:m]
-    T[-1, :ncols] -= cost[:ncols]
-    return _run_simplex(T, basis, ncols)
-
-
-def _standard_form(lp: LinearProgram):
-    """A, b of A y <= b, y >= 0 with y = x - lo: the constraint rows, then
-    one row per finite upper bound."""
-    n = lp.objective.shape[0]
-    rows = [lp.normals]
-    rhs = [lp.rhs - lp.normals @ lp.lo]
-    finite_hi = np.isfinite(lp.hi)
-    if np.any(finite_hi):
-        idx = np.flatnonzero(finite_hi)
-        ub = np.zeros((idx.size, n))
-        ub[np.arange(idx.size), idx] = 1.0
-        rows.append(ub)
-        rhs.append(lp.hi[idx] - lp.lo[idx])
-    return np.vstack(rows), np.concatenate(rhs)
+    T[-1, :ncols] -= signed
+    T[-1, -1] += cost[:ncols][at_upper] @ u[:ncols][at_upper]
+    return _run_simplex(T, basis, at_upper, u, w)
 
 
 def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolution:
@@ -304,31 +383,43 @@ def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolu
         When the objective is unbounded in the requested direction.
     """
     n = lp.objective.shape[0]
+    m = lp.rhs.shape[0]
     c = lp.objective if lp.sense == "max" else -lp.objective
     if basis is not None and not isinstance(basis, LPSolution):
         raise TypeError(f"basis must be an earlier LPSolution, "
                         f"got {type(basis).__name__}")
     kept = None if basis is None else basis._tableau
     if kept is not None and kept.fits(lp):
-        T, basic, carried = kept.T.copy(), kept.basis.copy(), kept.carried
-        start, pivots = "tableau", 0
+        T, basic, upper, w = (a.copy() for a in
+                              (kept.T, kept.basis, kept.at_upper, kept.weights))
+        u = kept.u
+        start, pivots, flips, carried = "tableau", 0, 0, kept.carried
     else:
-        A, b = _standard_form(lp)
-        warm = None if basis is None else _warm_start(A, b, basis.basis)
+        # Upper bounds after the shift y = x - lo: the structural columns,
+        # then the slacks and the artificials a phase 1 may leave basic.
+        u = _read_only(np.concatenate([lp.hi - lp.lo, np.full(2 * m, np.inf)]))
+        b = lp.rhs - lp.normals @ lp.lo
+        warm = None if basis is None else _warm_start(lp.normals, b, u, basis.basis,
+                                                      basis.at_upper)
         start = "cold" if warm is None else "basis"
-        T, basic, pivots = warm if warm is not None else _cold_start(A, b)
+        T, basic, upper, w, pivots, flips = (
+            warm if warm is not None else _cold_start(lp.normals, b, u))
         carried = 0
-    pivots += _phase2(T, basic, c)
+    more_pivots, more_flips = _phase2(T, basic, upper, u, w, c)
+    pivots += more_pivots
+    flips += more_flips
     carried += pivots
 
-    y = np.zeros(n)
-    structural = basic < n
-    y[basic[structural]] = T[:-1, -1][structural]
-    x = y + lp.lo
+    values = T[:-1, -1]
+    y = np.zeros(u.size)
+    y[basic] = values
+    x = np.where(upper[:n], lp.hi, lp.lo + y[:n])
     tableau = None
-    if carried < T.shape[0] - 1 and not np.any(T[:-1, -1] < -_TOL):
+    if carried < m and values.min() >= -_TOL and (values - u[basic]).max() <= _TOL:
         constraints = kept.constraints if start == "tableau" else tuple(
             _read_only(a.copy()) for a in (lp.normals, lp.rhs, lp.lo, lp.hi))
-        tableau = _Tableau(_read_only(T), _read_only(basic), constraints, carried)
-    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()), pivots,
-                      start, tableau)
+        tableau = _Tableau(_read_only(T), _read_only(basic), _read_only(upper),
+                           _read_only(w), constraints, u, carried)
+    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()),
+                      tuple(np.flatnonzero(upper).tolist()), pivots, flips, start,
+                      tableau)

@@ -124,6 +124,8 @@ class TraceRow:
     power stage that exhausted its budget) or ``hook`` (``eigenvector_fn``).
     ``time_s`` is the whole pass; ``eigen_s`` and ``oracle_s`` are its parts
     spent on the eigenvector and in the row oracle (both extremes).
+    ``power_iters`` is the pass's power iterations (``Eigenpair.power_iters``;
+    for a fallback, the exhausted budget; 0 for a hook).
     """
 
     iteration: int
@@ -135,6 +137,7 @@ class TraceRow:
     eigen_path: str
     eigen_s: float
     oracle_s: float
+    power_iters: int
 
 
 @dataclass
@@ -206,13 +209,13 @@ def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
 
 
 def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
-    """(v, rho, eigen path) of the current matrix."""
+    """(v, rho, eigen path, power iterations) of the current matrix."""
     v = eigenvector_fn(A) if eigenvector_fn is not None else None
-    path = "hook"
+    path, iters = "hook", 0
     if v is None:
         try:
             pair = selected_eigenpair(A, cfg.power)
-            return pair.v, pair.rho, pair.path
+            return pair.v, pair.rho, pair.path, pair.power_iters
         except PowerIterationError as exc:
             # A near-tie between leading eigenvalues can exhaust the budget
             # (the A + I shift makes tiny gaps excruciating).  The last
@@ -220,13 +223,13 @@ def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
             # met, and the two-sided bounds are valid for any positive
             # vector, so the outer loop can continue honestly with it.
             v = np.maximum(exc.last_iterate, 0.0)
-            path = "fallback"
+            path, iters = "fallback", exc.iterations
     v = check_vector(v, A.shape[0])
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("eigenvector_fn returned a zero vector")
     v = v / nrm
-    return v, _rho_from_vector(A, v), path
+    return v, _rho_from_vector(A, v), path, iters
 
 
 def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:
@@ -243,7 +246,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     status = None
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
-        v, rho, path = _eigen(A, cfg, eigenvector_fn)
+        v, rho, path, iters = _eigen(A, cfg, eigenvector_fn)
         t1 = time.perf_counter()
         up, down = extremes(v)
         t2 = time.perf_counter()
@@ -265,7 +268,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
             A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
                                           cfg.delta, step_kind)
         trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path,
-                              t1 - t0, t2 - t1))
+                              t1 - t0, t2 - t1, iters))
         if cycled:
             status = STATUS_CYCLE
             break
@@ -331,7 +334,7 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     # Pull back: the family's best member against the retry's eigenvector.
     # Only a maximization stalls as reducible, so the larger radius wins.
     X = family.extremes(retry.eigenvector)[0]
-    v, rho, _ = _eigen(X, cfg, None)
+    v, rho, _, _ = _eigen(X, cfg, None)
     if rho > res.rho:
         up, down = family.extremes(v)
         res.matrix = X

@@ -22,15 +22,18 @@ variant's kernel is exact:
   from the most expensive coordinates first.
 * :class:`HalfspacePoly` is a polytope cut from the unit box by non-negative
   halfspaces; the maximum is a small LP solved to a vertex, and the minimum
-  is the origin.  The set keeps its last :class:`~.lp.LPSolution`, and the
-  next solve warm-starts from it: only v changes, so its optimal tableau is
-  repriced for the new v and pivoted on, with no linear solve.  The LP
-  checks that the constraints are identical before it reuses the tableau,
-  and refactorizes from the basis once the tableau has been carried through
-  as many pivots as it has rows, or shows a negative right-hand side (see
-  :mod:`.lp`).  The kept tableau costs (m + d + 1)(m + 2d + 1) floats for
-  m normals: 61 KB at d=25, m=50.  The LP runs on every visit, so selecting
-  the minimum alone also solves it and moves the warm start.
+  is the origin.  The set builds and validates its constraints once, on its
+  first solve; each solve copies that program with v as the objective.  The
+  set keeps its last :class:`~.lp.LPSolution`, and the next solve
+  warm-starts from it: only v changes, so its optimal tableau is repriced
+  for the new v and pivoted on, with no linear solve.  The LP checks that
+  the constraints are identical before it reuses the tableau, and
+  refactorizes from the basis once the tableau has been carried through as
+  many pivots as it has rows, or shows a basic value outside its bounds (see
+  :mod:`.lp`).  The unit box is variable bounds there, not rows, so the kept
+  tableau costs (m + 1)(m + d + 1) floats for m normals: 31 KB at d=25,
+  m=50.  The LP runs on every visit, so selecting the minimum alone also
+  solves it and moves the warm start.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
   positive orthant, with a closed-form touching point; one scaled direction
   gives both extremes.
@@ -51,6 +54,7 @@ previous solve ended at.
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,6 +292,7 @@ class HalfspacePoly(RowSet):
     """{x : 0 <= x <= 1, (normal_j, x) <= 1 for every j} with normals >= 0."""
 
     normals: np.ndarray
+    _lp: LinearProgram | None = field(default=None, init=False, repr=False)
     _last: LPSolution | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -305,13 +310,18 @@ class HalfspacePoly(RowSet):
         return self.normals.shape[1]
 
     def _extremes(self, obj):
-        lp = LinearProgram(
-            objective=obj.v,
-            normals=self.normals,
-            rhs=np.ones(self.normals.shape[0]),
-            lo=np.zeros(self.d),
-            hi=np.ones(self.d),
-        )
+        if self._lp is None:
+            # Built and validated on the first solve, not with the set; the
+            # constant rhs and box are read-only.  Two threads may both
+            # build it: the programs are equal, and either one serves.
+            m, d = self.normals.shape
+            rhs, lo, hi = np.ones(m), np.zeros(d), np.ones(d)
+            for a in (rhs, lo, hi):
+                a.flags.writeable = False
+            object.__setattr__(self, "_lp", LinearProgram(
+                objective=np.zeros(d), normals=self.normals, rhs=rhs, lo=lo, hi=hi))
+        lp = copy.copy(self._lp)
+        lp.objective = obj.v
         # Only v changes between calls, so the last solution's optimal
         # tableau stays feasible and warm-starts the next solve.  The
         # solution is immutable, its tableau read-only and copied on use, and

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import spectral_optim
 from spectral_optim import LinearProgram, LPInfeasibleError, LPUnboundedError, lp_optimize
+from spectral_optim import lp as lp_module
 from spectral_optim.lp import LPSolution
 
-from oracles import run_random_lp_comparison
+from oracles import lp_vertex_oracle, run_random_lp_comparison
 
 
 def test_box_corner():
@@ -151,15 +155,17 @@ def test_unusable_warm_basis_falls_back_to_a_cold_solve():
                        normals=np.array([[1.0, 1.0], [1.0, 1.0]]), rhs=np.ones(2),
                        lo=np.zeros(2), hi=np.ones(2))
     cold = lp_optimize(lp)
-    # Standard-form columns: x0, x1, then slacks of the two rows and the two
-    # upper bounds.  A solution without a kept tableau restarts from its
-    # basis, as one of other constraints does.
-    for basis in [(0, 1, 2),          # wrong length
-                  (0, 1, 2, 9),       # index out of range
-                  (0, 0, 4, 5),       # repeated index
-                  (0, 1, 4, 5),       # singular: the two rows are equal
-                  (0, 1, 2, 3)]:      # infeasible: x = (1, 1) breaks x0 + x1 <= 1
-        earlier = LPSolution(cold.x, cold.value, basis, 0, "cold", _tableau=None)
+    # Columns: x0, x1, then the slacks of the two rows; the box is bounds,
+    # not rows.  A solution without a kept tableau restarts from its basis
+    # and the columns it holds at their upper bound, as one of other
+    # constraints does.
+    for basis, at_upper in [((0, 1, 2), ()),    # wrong length
+                            ((0, 4), ()),       # index out of range
+                            ((0, 0), ()),       # repeated index
+                            ((0, 1), ()),       # singular: the two rows are equal
+                            ((2, 3), (0, 1))]:  # infeasible: x = (1, 1) breaks x0 + x1 <= 1
+        earlier = LPSolution(cold.x, cold.value, basis, at_upper, 0, 0, "cold",
+                             _tableau=None)
         warm = lp_optimize(lp, basis=earlier)
         assert np.array_equal(warm.x, cold.x)
         assert warm.value == cold.value
@@ -256,3 +262,143 @@ def test_two_thousand_warm_solves_match_cold_solves():
         prev = warm
     assert starts.count("basis") >= 1
     assert starts.count("tableau") >= 1000
+
+
+def _assert_matches_oracle(lp, sol, tol=1e-9):
+    want = lp_vertex_oracle(lp.objective, lp.normals, lp.rhs, lp.lo, lp.hi, lp.sense)
+    assert want is not None
+    assert sol.value == pytest.approx(want[1], abs=tol)
+    assert np.all(lp.normals @ sol.x <= lp.rhs + 1e-10)
+    assert np.all(sol.x >= lp.lo - 1e-10) and np.all(sol.x <= lp.hi + 1e-10)
+
+
+def test_fixed_variables_match_the_oracle():
+    rng = np.random.default_rng(31)
+    for case in range(60):
+        d = 2 + case % 3
+        lo = rng.uniform(0.0, 0.3, size=d)
+        hi = lo + rng.uniform(0.2, 1.0, size=d)
+        fixed = rng.random(d) < 0.4
+        hi[fixed] = lo[fixed]
+        lp = LinearProgram(objective=rng.normal(size=d), normals=rng.normal(size=(2, d)),
+                           rhs=rng.uniform(0.5, 1.5, size=2) + 2.0, lo=lo, hi=hi,
+                           sense=("max", "min")[case % 2])
+        sol = lp_optimize(lp)
+        _assert_matches_oracle(lp, sol)
+        assert np.array_equal(sol.x[fixed], lo[fixed])
+
+
+def test_a_flip_of_a_fixed_variable_counts_as_degenerate(monkeypatch):
+    # x2 is fixed (lo == hi) and has by far the best steepest-edge score, so
+    # it enters first and flips with step 0.  Every vertex of x0 + 2 x1 = 1
+    # (after the shift) is optimal: steepest edge then picks x1 and stops at
+    # (0, 0.5), Bland's smallest index picks x0 and stops at (0.8, 0.1).
+    # With a degenerate run of 1, the path switches to Bland's rule only if
+    # the flip counted as degenerate.
+    lp = LinearProgram(objective=np.array([1.0, 2.0, 10.0]),
+                       normals=np.array([[1.0, 2.0, 1.0]]), rhs=np.array([1.25]),
+                       lo=np.array([0.0, 0.0, 0.25]), hi=np.array([0.8, 1.0, 0.25]))
+    steepest = lp_optimize(lp)
+    assert np.allclose(steepest.x, (0.0, 0.5, 0.25), atol=1e-12)
+    assert (steepest.pivots, steepest.flips) == (1, 1)
+    monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", 1)
+    bland = lp_optimize(lp)
+    assert np.allclose(bland.x, (0.8, 0.1, 0.25), atol=1e-12)
+    assert (bland.pivots, bland.flips) == (1, 2)
+    for sol in (steepest, bland):
+        _assert_matches_oracle(lp, sol, tol=1e-12)
+
+
+def test_finite_and_infinite_upper_bounds_in_one_program():
+    rng = np.random.default_rng(32)
+    for case in range(60):
+        d = 2 + case % 3
+        hi = rng.uniform(0.5, 1.5, size=d)
+        hi[rng.random(d) < 0.5] = np.inf
+        # A positive row keeps the unbounded coordinates bounded.
+        normals = np.vstack([rng.uniform(0.2, 1.0, size=(1, d)), rng.normal(size=(2, d))])
+        lp = LinearProgram(objective=rng.normal(size=d), normals=normals,
+                           rhs=np.array([2.0, 1.0, 1.0]), lo=np.zeros(d), hi=hi,
+                           sense=("max", "min")[case % 2])
+        _assert_matches_oracle(lp, lp_optimize(lp))
+
+
+def test_negative_rhs_goes_through_phase_one():
+    rng = np.random.default_rng(33)
+    for case in range(60):
+        d = 2 + case % 3
+        # sum x >= 0.3 (a negative right-hand side at x = 0) and two more rows.
+        normals = np.vstack([-np.ones((1, d)), rng.uniform(0.0, 1.0, size=(2, d))])
+        lp = LinearProgram(objective=-rng.random(d), normals=normals,
+                           rhs=np.array([-0.3, 1.5, 1.5]), lo=np.zeros(d), hi=np.ones(d))
+        sol = lp_optimize(lp)
+        _assert_matches_oracle(lp, sol)
+        assert sol.x.sum() == pytest.approx(0.3, abs=1e-12)
+        assert sol.pivots >= 1
+
+
+def test_min_sense_matches_the_oracle():
+    rng = np.random.default_rng(34)
+    for case in range(60):
+        d = 1 + case % 4
+        lp = LinearProgram(objective=rng.normal(size=d), normals=rng.normal(size=(3, d)),
+                           rhs=rng.uniform(0.1, 1.0, size=3), lo=-rng.random(d),
+                           hi=rng.random(d), sense="min")
+        _assert_matches_oracle(lp, lp_optimize(lp))
+
+
+def test_box_only_program_is_answered_by_flips():
+    rng = np.random.default_rng(35)
+    for case in range(20):
+        d = 1 + case % 5
+        objective = rng.normal(size=d)
+        lo, hi = -rng.random(d), rng.random(d)
+        lp = LinearProgram(objective=objective, normals=np.empty((0, d)),
+                           rhs=np.empty(0), lo=lo, hi=hi, sense=("max", "min")[case % 2])
+        sol = lp_optimize(lp)
+        up = objective > 0 if lp.sense == "max" else objective < 0
+        assert sol.pivots == 0 and sol.flips == int(up.sum())
+        assert sol.basis == () and sol.at_upper == tuple(np.flatnonzero(up).tolist())
+        assert np.array_equal(sol.x, np.where(up, hi, lo))
+        _assert_matches_oracle(lp, sol, tol=1e-12)
+
+
+def test_bland_path_matches_the_default_path(monkeypatch):
+    # The criterion-10 generator, solved with steepest edge and with Bland's
+    # rule from the first step: both agree with the oracle and each other.
+    def values():
+        got = []
+
+        def spy(lp, **kwargs):
+            sol = real(lp, **kwargs)
+            got.append(sol.value)
+            return sol
+
+        monkeypatch.setattr(spectral_optim, "lp_optimize", spy)
+        worst, infeasible = run_random_lp_comparison(500, seed=17)
+        assert worst <= 1e-9 and infeasible >= 1
+        return got
+
+    real = lp_optimize
+    default = values()
+    monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", 0)
+    bland = values()
+    assert len(bland) == len(default) > 400
+    assert np.allclose(bland, default, rtol=0.0, atol=1e-9)
+
+
+def test_warm_solve_refactorizes_from_basis_and_at_upper():
+    rng = np.random.default_rng(36)
+    d, k = 8, 6
+    normals = rng.random((k, d)) / 2.0
+    with_upper = 0
+    for _ in range(30):
+        earlier = lp_optimize(_boxed_lp(rng.normal(size=d), normals))
+        lp = _boxed_lp(rng.normal(size=d), normals)
+        warm = lp_optimize(lp, basis=dataclasses.replace(earlier, _tableau=None))
+        cold = lp_optimize(lp)
+        assert warm.start == "basis"
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+        assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
+        with_upper += bool(earlier.at_upper)
+    assert with_upper >= 10

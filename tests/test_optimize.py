@@ -434,6 +434,22 @@ def test_trace_names_the_eigen_path():
     assert {r.eigen_path for r in hooked.trace} == {"hook"}
 
 
+def test_trace_counts_the_power_iterations_of_each_pass():
+    from spectral_optim.linalg import selected_eigenpair
+
+    slow = _finite_family([[[1.0, 2.0]], [[1e-3, 1.0]]])
+    res = optimize(slow)
+    want = selected_eigenpair(res.matrix).power_iters
+    assert want > 100 and [r.power_iters for r in res.trace] == [want]
+    res = optimize(slow, OptimizerConfig(power=PowerConfig(max_iters=3)))
+    assert [(r.eigen_path, r.power_iters) for r in res.trace] == [("fallback", 3)]
+    reducible = _finite_family([[[1.0, 1.0]], [[0.0, 1.0]]])
+    assert [r.power_iters for r in optimize(reducible).trace] == [0]
+    hooked = optimize(demo.cycling_family(), OptimizerConfig(method="greedy"),
+                      eigenvector_fn=lambda A: np.ones(3))
+    assert {r.power_iters for r in hooked.trace} == {0}
+
+
 def test_trace_is_sandwiched_and_monotone_on_fixture():
     res = optimize(demo.cycling_family(), OptimizerConfig(power=TIGHT))
     assert isinstance(res.trace, list)
