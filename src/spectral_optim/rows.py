@@ -7,7 +7,15 @@ the family reduces to repeatedly answering one question per row: which members
 of F_i maximize and minimize the inner product with a given non-negative
 direction v?  :meth:`ProductFamily.extremes` answers both for every row in one
 call: it validates v once and fills the maximizing and the minimizing matrix
-from one kernel per set, so each set is visited once per call.  Each set
+from one kernel per set, so each set is visited once per call.  A family of
+finite sets whose rows are the slices b[0], ..., b[d-1] of one C-contiguous
+(d, N, d) array b, in set order (what ``gen.generate_random_family`` builds),
+is scanned as one block instead: one product ``b @ v``, an argmax and an
+argmin along the set axis, and two gathers.  The block is the sets' own
+memory, found when the family is made, so it never goes stale and takes no
+memory of its own; in turn a set's view keeps the whole block alive.  Every other
+family (mixed set types, unequal N, rows built or read one set at a time, or
+not in set order) keeps the per-set loop, with the same results.  Each set
 variant's kernel is exact:
 
 * :class:`FiniteSet` scans an explicit list of rows: one product ``rows @ v``
@@ -392,11 +400,32 @@ class Ellipsoid(RowSet):
         return lo, hi
 
 
+def _stack_of(sets) -> np.ndarray | None:
+    """The C-contiguous (d, N, d) array b whose slices b[i] are the rows of
+    the finite sets, in set order, or None where there is no such array."""
+    first = sets[0]
+    if not isinstance(first, FiniteSet):
+        return None
+    b = first.rows.base
+    d = len(sets)
+    if (not isinstance(b, np.ndarray) or b.dtype != np.float64
+            or b.shape != (d, first.size, d) or not b.flags.c_contiguous):
+        return None
+    address, step = b.ctypes.data, b.strides[0]
+    for i, rs in enumerate(sets):
+        if not (isinstance(rs, FiniteSet) and rs.rows.base is b
+                and rs.rows.shape == b.shape[1:] and rs.rows.strides == b.strides[1:]
+                and rs.rows.ctypes.data == address + i * step):
+            return None
+    return b
+
+
 @dataclass(frozen=True, eq=False)
 class ProductFamily:
     """Square-matrix family with one independent row uncertainty set per row."""
 
     sets: tuple[RowSet, ...]
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -411,6 +440,12 @@ class ProductFamily:
                     f"sets[{i}] has row length {rs.d}, expected {d} "
                     "(one set per row of a square matrix)")
         object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "_stack", _stack_of(sets))
+
+    def __reduce__(self):
+        # A copy rebuilds the family from its copied sets, whose rows no
+        # longer view one block, rather than carrying a detached stack.
+        return ProductFamily, (self.sets,)
 
     @property
     def d(self) -> int:
@@ -431,6 +466,13 @@ class ProductFamily:
         once.
         """
         obj = _Objective(v, self.d)
+        if self._stack is not None:
+            # One product for every set; argmax and argmin take the first
+            # extremal row, as each set's own scan does.
+            b = self._stack
+            dots = b @ obj.lifted()
+            rows = np.arange(self.d)
+            return b[rows, dots.argmax(axis=1)], b[rows, dots.argmin(axis=1)]
         up = np.empty((self.d, self.d))
         down = np.empty((self.d, self.d))
         for i, rs in enumerate(self.sets):

@@ -20,6 +20,7 @@ from spectral_optim.bench import (
     run_benchmark,
     write_csv,
 )
+from spectral_optim import gen
 from spectral_optim.gen import (
     CounterStream,
     generate_random_family,
@@ -86,6 +87,26 @@ def test_generator_shapes_and_validation():
         generate_random_family(2, 2, (0.1, 1.5))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_random_family(2.5, 1), "d must be an integer, got 2.5"),
+    (lambda: generate_random_family(3, 2.0), "set_size must be an integer, got 2.0"),
+    (lambda: generate_random_family(3, 0), "set_size must be at least 1, got 0"),
+    (lambda: generate_random_poly_family(2.5, 2), "d must be an integer, got 2.5"),
+    (lambda: generate_random_poly_family(3, 2.0), "n_normals must be an integer, got 2.0"),
+    (lambda: generate_random_poly_family(0, 2), "d must be at least 1, got 0"),
+])
+def test_generator_counts_are_checked_like_bench_specs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_generators_take_numpy_integer_counts():
+    fam = generate_random_family(np.int64(3), np.int32(2), seed=1)
+    want = generate_random_family(3, 2, seed=1)
+    assert [rs.rows.tobytes() for rs in fam.sets] == [rs.rows.tobytes() for rs in want.sets]
+    assert len(generate_random_poly_family(np.int64(3), np.int32(2)).sets) == 3
+
+
 def test_degenerate_density_interval_gives_positive_families():
     fam = generate_random_family(6, 4, (1.0, 1.0), seed=9)
     for rs in fam.sets:
@@ -118,11 +139,43 @@ def test_fixed_draw_layout_aligns_sparse_and_positive_runs():
     (4, 3, (0.01, 0.02), 1),
     (17, 2, (0.05, 0.2), 9013),
     (40, 7, (0.0, 1.0), 2 ** 64 - 1),
+    (50, 10, (0.0, 0.0), 3),        # every row dead: all fallbacks
+    (7, 2, (1.0, 1.0), 4),          # gamma = 1, the threshold edge
+    (100, 30, (0.09, 0.15), 5),     # two groups of sets, the second partial
 ])
 def test_generator_matches_the_three_call_layout_bit_for_bit(d, n, density, seed):
     fam = generate_random_family(d, n, density, seed=seed)
     want = generate_random_family_rows(d, n, density, seed)
     assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("group", [1, 7, 64])
+def test_generator_output_does_not_depend_on_the_group_size(monkeypatch, group):
+    # Groups smaller than one set, groups ending inside the family, and
+    # sets at every density edge.
+    monkeypatch.setattr(gen, "_GROUP_DRAWS", group)
+    for d, n, density, seed in [(13, 3, (0.0, 1.0), 1), (9, 5, (1.0, 1.0), 2),
+                                (20, 2, (0.0, 0.0), 3), (11, 4, (0.3, 0.5), 2 ** 64 - 1)]:
+        fam = generate_random_family(d, n, density, seed=seed)
+        want = generate_random_family_rows(d, n, density, seed)
+        assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want]
+
+
+def test_generator_matches_the_layout_on_the_small_benchmark_families():
+    # The 500 families of acceptance criterion 9.
+    for t in range(500):
+        d, n = 2 + t % 29, 1 + t % 3
+        fam = generate_random_family(d, n, (0.05, 0.2), seed=9000 + t)
+        want = generate_random_family_rows(d, n, (0.05, 0.2), 9000 + t)
+        assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want], t
+
+
+def test_generator_writes_one_block_of_set_views():
+    fam = generate_random_family(6, 4, (0.3, 0.7), seed=2)
+    block = fam.sets[0].rows.base
+    assert block.shape == (6, 4, 6) and block.flags.c_contiguous
+    assert all(np.shares_memory(rs.rows, block) for rs in fam.sets)
+    assert [rs.rows.tobytes() for rs in fam.sets] == [b.tobytes() for b in block]
 
 
 def test_no_candidate_row_is_all_zero_even_at_tiny_density():

@@ -240,7 +240,6 @@ def test_two_thousand_warm_solves_match_cold_solves():
     rng = np.random.default_rng(25)
     d, k = 10, 15
     normals = rng.random((k, d)) / 2.0
-    m = k + d   # standard-form rows: the constraints and the upper bounds
     prev, starts = None, []
     for case in range(2000):
         objective = rng.random(d)
@@ -255,7 +254,7 @@ def test_two_thousand_warm_solves_match_cold_solves():
         # one is always repriced by the next solve.
         kept = warm._tableau
         if kept is not None:
-            assert kept.carried < m and np.all(kept.T[:-1, -1] >= -1e-9)
+            assert kept.carried < k and np.all(kept.T[:-1, -1] >= -1e-9)
         if case:
             assert (warm.start == "tableau") == (prev._tableau is not None)
         starts.append(warm.start)

@@ -12,6 +12,8 @@ from spectral_optim import (
     LinearProgram,
 )
 
+from spectral_optim.gen import generate_random_family
+
 from oracles import (
     degree_best_value,
     ellipsoid_residual,
@@ -459,3 +461,81 @@ def test_extremes_reject_what_best_row_rejects(bad):
     with pytest.raises(ValueError) as from_family:
         family.extremes(bad)
     assert str(from_family.value) == str(from_row.value)
+
+
+# ----------------------------------------- one product over a block of sets
+
+def _assert_same_extremes(family, other, v):
+    for got, want in zip(family.extremes(v), other.extremes(v)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _copied(family):
+    return ProductFamily(tuple(FiniteSet(rs.rows.copy()) for rs in family.sets))
+
+
+def test_stacked_scan_matches_the_per_set_scan_bit_for_bit():
+    rng = np.random.default_rng(113)
+    for case in range(60):
+        d, n = 2 + case % 29, 1 + case % 4
+        family = generate_random_family(d, n, (0.05, 0.6), seed=700 + case)
+        assert family._stack is not None
+        copy = _copied(family)
+        assert copy._stack is None
+        v = rng.random(d) * (rng.random(d) < 0.7)
+        v[case % d] += 0.25
+        _assert_same_extremes(family, copy, v)
+        # Below 2^-40 the scan takes the lifted copy of v.
+        _assert_same_extremes(family, copy, v * 2.0 ** -60)
+
+
+def test_stacked_scan_takes_the_first_of_tied_rows():
+    block = np.zeros((3, 4, 3))
+    block[:, 0] = [1.0, 0.0, 0.0]
+    block[:, 1] = [0.0, 1.0, 0.0]
+    block[:, 2] = [1.0, 0.0, 0.0]
+    block[:, 3] = [0.0, 1.0, 0.0]
+    block[2, 1] = [0.0, 0.0, 1.0]
+    family = ProductFamily(tuple(FiniteSet(rows) for rows in block))
+    assert family._stack is block
+    v = np.array([1.0, 1.0, 0.5])
+    up, down = family.extremes(v)
+    assert np.array_equal(up, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(down, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    _assert_same_extremes(family, _copied(family), v)
+    # The scan reads the sets' own memory, and hands out new matrices.
+    block[0, 1] = [0.0, 3.0, 0.0]
+    up[:] = -1.0
+    assert np.array_equal(family.extremes(v)[0][0], [0.0, 3.0, 0.0])
+
+
+def test_families_off_the_block_keep_the_per_set_scan():
+    rng = np.random.default_rng(114)
+    d = 6
+    block = generate_random_family(d, 3, (0.2, 0.6), seed=8).sets[0].rows.base
+    reversed_views = ProductFamily(tuple(FiniteSet(rows) for rows in block[::-1]))
+    mixed = ProductFamily(tuple(FiniteSet(rows) for rows in block[:-1])
+                          + (L1Ball(block[-1, 0], 0.5),))
+    unequal = ProductFamily(tuple(FiniteSet(rows[: 1 + i % 3])
+                                  for i, rows in enumerate(block)))
+    for family in (reversed_views, mixed, unequal):
+        assert family._stack is None
+        for _ in range(20):
+            v = rng.random(d) * (rng.random(d) < 0.7)
+            v[0] += 0.1
+            up, down = family.extremes(v)
+            for i, rs in enumerate(family.sets):
+                assert up[i].tobytes() == reference_best_row(rs, v, "max").tobytes()
+                assert down[i].tobytes() == reference_best_row(rs, v, "min").tobytes()
+
+
+def test_a_copied_family_drops_the_shared_block():
+    import copy
+    import pickle
+
+    family = generate_random_family(5, 2, (0.3, 0.6), seed=3)
+    assert copy.copy(family)._stack is family._stack
+    v = np.arange(1.0, 6.0)
+    for other in (copy.deepcopy(family), pickle.loads(pickle.dumps(family))):
+        assert other._stack is None
+        _assert_same_extremes(family, other, v)
