@@ -114,8 +114,10 @@ class StabilizationProblem:
 
 def stabilization_family(A, radius: float) -> ProductFamily:
     """Family of matrices within row-wise L1 distance ``radius`` of A."""
-    A = check_matrix(A)
-    return ProductFamily(tuple(L1Ball(A[i], radius) for i in range(A.shape[0])))
+    # One C-contiguous copy whose rows are the centers: the family scans
+    # them as one batch (see :class:`~.rows.ProductFamily`).
+    C = np.array(check_matrix(A), order="C")
+    return ProductFamily(tuple(L1Ball(C[i], radius) for i in range(C.shape[0])))
 
 
 def _clip_to_radius(X: np.ndarray, A: np.ndarray, radius: float) -> np.ndarray:

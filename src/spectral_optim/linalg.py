@@ -34,6 +34,7 @@ The radius is always read off A itself, at the returned vector.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -129,6 +130,19 @@ class Eigenpair:
     path: str
 
 
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Refuse an array with a NaN, infinite or negative entry (-0.0 passes).
+    One pass each for the minimum and the maximum, which a NaN turns into
+    NaN, and no temporary array."""
+    if a.size == 0:
+        return
+    lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} must be finite")
+    if lo < 0.0:
+        raise ValueError(f"{what} must be non-negative")
+
+
 def check_matrix(A) -> np.ndarray:
     """Validate and return a square non-negative float matrix."""
     M = np.asarray(A, dtype=float)
@@ -136,10 +150,7 @@ def check_matrix(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
         raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    if np.any(M < 0):
-        raise ValueError("matrix entries must be non-negative")
+    _check_entries(M, "matrix entries")
     return M
 
 
@@ -162,10 +173,7 @@ def check_vector(v, d: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {w.shape}")
     if d is not None and w.shape[0] != d:
         raise ValueError(f"expected length {d}, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite")
-    if np.any(w < 0):
-        raise ValueError("vector entries must be non-negative")
+    _check_entries(w, "vector entries")
     return w
 
 

@@ -7,16 +7,25 @@ the family reduces to repeatedly answering one question per row: which members
 of F_i maximize and minimize the inner product with a given non-negative
 direction v?  :meth:`ProductFamily.extremes` answers both for every row in one
 call: it validates v once and fills the maximizing and the minimizing matrix
-from one kernel per set, so each set is visited once per call.  A family of
-finite sets whose rows are the slices b[0], ..., b[d-1] of one C-contiguous
-(d, N, d) array b, in set order (what ``gen.generate_random_family`` builds),
-is scanned as one block instead: one product ``b @ v``, an argmax and an
-argmin along the set axis, and two gathers.  The block is the sets' own
-memory, found when the family is made, so it never goes stale and takes no
-memory of its own; in turn a set's view keeps the whole block alive.  Every other
-family (mixed set types, unequal N, rows built or read one set at a time, or
-not in set order) keeps the per-set loop, with the same results.  Each set
-variant's kernel is exact:
+with one array kernel for the whole family, where the family is one of three
+batched kinds, found once when the family is made:
+
+* finite sets whose rows are the slices b[0], ..., b[d-1] of one
+  C-contiguous (d, N, d) array b, in set order (what
+  ``gen.generate_random_family`` builds): one product ``b @ v``, an argmax
+  and an argmin along the set axis, and two gathers;
+* L1 balls whose centers are the rows of one C-contiguous (d, d) array, in
+  set order (what ``apps.stabilization_family`` builds): the set kernel
+  below on every row at once, over the shared order of v;
+* degree sets of any senses: one rank of v per sense, compared with every
+  set's degree.
+
+The arrays are the sets' own memory, so a batch never goes stale and takes
+no memory of its own; in turn a set's view keeps the whole array alive.
+Every other family (mixed set types, unequal N, arrays built or read one set
+at a time, or not in set order, copies and pickles) runs one kernel per set,
+with the same results to the last bit.  The L1 batch also tests a matrix's
+membership in one pass.  Each set variant's kernel is exact:
 
 * :class:`FiniteSet` scans an explicit list of rows: one product ``rows @ v``
   gives both the argmax and the argmin.  A v whose largest component is
@@ -48,8 +57,8 @@ variant's kernel is exact:
 
 The graph and L1 kernels order the components of v with a stable sort.  The
 sort is made at most once per call, on first use, and shared by every set
-of the family.  :meth:`RowSet.best_row` and :meth:`ProductFamily.best_matrix`
-return one side of the same kernels' pair.
+of the family, batched or not.  :meth:`RowSet.best_row` and
+:meth:`ProductFamily.best_matrix` return one side of the same kernels' pair.
 
 Ties are broken deterministically toward the lowest index so that runs are
 reproducible: the first maximal (minimal) finite row, the lowest indices
@@ -67,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_count, check_vector
+from .linalg import _check_entries, check_count, check_vector
 from .lp import LinearProgram, LPSolution, lp_optimize
 
 __all__ = [
@@ -167,10 +176,7 @@ class FiniteSet(RowSet):
         r = np.asarray(self.rows, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] < 1:
             raise ValueError(f"rows must be a non-empty 2-D array, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rows must be finite")
-        if np.any(r < 0):
-            raise ValueError("rows must be non-negative")
+        _check_entries(r, "rows")
         object.__setattr__(self, "rows", r)
 
     @property
@@ -307,10 +313,7 @@ class HalfspacePoly(RowSet):
         nm = np.asarray(self.normals, dtype=float)
         if nm.ndim != 2 or nm.shape[1] < 1:
             raise ValueError(f"normals must be a 2-D array, got shape {nm.shape}")
-        if not np.all(np.isfinite(nm)):
-            raise ValueError("normals must be finite")
-        if np.any(nm < 0):
-            raise ValueError("normals must be non-negative")
+        _check_entries(nm, "normals")
         object.__setattr__(self, "normals", nm)
 
     @property
@@ -400,24 +403,122 @@ class Ellipsoid(RowSet):
         return lo, hi
 
 
-def _stack_of(sets) -> np.ndarray | None:
-    """The C-contiguous (d, N, d) array b whose slices b[i] are the rows of
-    the finite sets, in set order, or None where there is no such array."""
-    first = sets[0]
-    if not isinstance(first, FiniteSet):
-        return None
-    b = first.rows.base
-    d = len(sets)
+def _block_of(views) -> np.ndarray | None:
+    """The C-contiguous float64 array b whose slices b[0], b[1], ... are the
+    given arrays, in order and in the same memory, or None where there is
+    no such array."""
+    b = views[0].base
     if (not isinstance(b, np.ndarray) or b.dtype != np.float64
-            or b.shape != (d, first.size, d) or not b.flags.c_contiguous):
+            or b.shape[0] != len(views) or not b.flags.c_contiguous):
         return None
     address, step = b.ctypes.data, b.strides[0]
-    for i, rs in enumerate(sets):
-        if not (isinstance(rs, FiniteSet) and rs.rows.base is b
-                and rs.rows.shape == b.shape[1:] and rs.rows.strides == b.strides[1:]
-                and rs.rows.ctypes.data == address + i * step):
+    for i, a in enumerate(views):
+        if not (a.base is b and a.shape == b.shape[1:] and a.strides == b.strides[1:]
+                and a.ctypes.data == address + i * step):
             return None
     return b
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """rank[j] is the position of index j in the permutation ``order``."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+class _FiniteBatch:
+    """Finite sets whose rows are the slices of one (d, N, d) block: one
+    product scans them all, and argmax and argmin along the set axis take
+    the first extremal row, as each set's own scan does."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    def extremes(self, obj):
+        b = self.block
+        dots = b @ obj.lifted()
+        rows = np.arange(b.shape[0])
+        return b[rows, dots.argmax(axis=1)], b[rows, dots.argmin(axis=1)]
+
+
+class _L1Batch:
+    """L1 balls whose centers are the rows of one (d, d) array, radii kept
+    as a column: the per-set kernel run on every row at once.  The budget
+    is an accumulate along each row, sequential as in the set's kernel, so
+    the rows agree with it to the last bit."""
+
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center: np.ndarray, sets):
+        self.center = center
+        self.radius = np.array([[rs.radius] for rs in sets])
+
+    def extremes(self, obj):
+        c, r, v = self.center, self.radius, obj.v
+        up = c.copy()
+        up[:, int(np.argmax(v))] += r[:, 0]
+        live = obj.descending()[: np.count_nonzero(v > 0.0)]
+        mass = c[:, live]
+        budget = np.subtract.accumulate(np.concatenate((r, mass), axis=1), axis=1)[:, :-1]
+        down = c.copy()
+        down[:, live] = np.where(budget > 0.0, np.maximum(mass - budget, 0.0), mass)
+        return up, down
+
+    def contains(self, X: np.ndarray, tol: float) -> bool:
+        if np.any(X < -tol):
+            return False
+        return bool(np.all(np.sum(np.abs(X - self.center), axis=1) <= self.radius[:, 0] + tol))
+
+
+class _DegreeBatch:
+    """Degree sets of both senses.  Row i of the maximum has ones where the
+    rank of v's component in the shared descending order is below n_up[i]
+    (n for 'at_most', d, the full row, for 'at_least'); row i of the
+    minimum where its rank in the ascending order is below n_down[i] (0,
+    the empty row, for 'at_most', n for 'at_least').  The ranks come from
+    the same stable sorts as the sets' own kernels, so ties go the same way,
+    and an order no row needs is not made."""
+
+    __slots__ = ("n_up", "n_down", "sorts_up", "sorts_down")
+
+    def __init__(self, sets):
+        d = len(sets)
+        self.n_up = np.array([[rs.n if rs.sense == "at_most" else d] for rs in sets])
+        self.n_down = np.array([[rs.n if rs.sense == "at_least" else 0] for rs in sets])
+        self.sorts_up = bool(np.any(self.n_up < d))
+        self.sorts_down = bool(np.any(self.n_down > 0))
+
+    def extremes(self, obj):
+        d = self.n_up.shape[0]
+        if self.sorts_up:
+            up = np.less(_ranks(obj.descending()), self.n_up, out=np.empty((d, d)))
+        else:
+            up = np.ones((d, d))
+        if self.sorts_down:
+            down = np.less(_ranks(obj.ascending()), self.n_down, out=np.empty((d, d)))
+        else:
+            down = np.zeros((d, d))
+        return up, down
+
+
+def _batch_of(sets):
+    """One batch kernel for the whole family, where all sets are of one
+    batched kind (and, for finite sets and L1 balls, view one array in set
+    order), else None."""
+    kind = type(sets[0])
+    if any(type(rs) is not kind for rs in sets):
+        return None
+    if kind is GraphDegreeSet:
+        return _DegreeBatch(sets)
+    if kind is FiniteSet:
+        block = _block_of([rs.rows for rs in sets])
+        return None if block is None else _FiniteBatch(block)
+    if kind is L1Ball:
+        center = _block_of([rs.center for rs in sets])
+        return None if center is None else _L1Batch(center, sets)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +526,8 @@ class ProductFamily:
     """Square-matrix family with one independent row uncertainty set per row."""
 
     sets: tuple[RowSet, ...]
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
+    _batch: _FiniteBatch | _L1Batch | _DegreeBatch | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -440,11 +542,11 @@ class ProductFamily:
                     f"sets[{i}] has row length {rs.d}, expected {d} "
                     "(one set per row of a square matrix)")
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "_stack", _stack_of(sets))
+        object.__setattr__(self, "_batch", _batch_of(sets))
 
     def __reduce__(self):
-        # A copy rebuilds the family from its copied sets, whose rows no
-        # longer view one block, rather than carrying a detached stack.
+        # A copy rebuilds the family from its copied sets, whose arrays no
+        # longer view one block, rather than carrying a detached batch.
         return ProductFamily, (self.sets,)
 
     @property
@@ -466,13 +568,8 @@ class ProductFamily:
         once.
         """
         obj = _Objective(v, self.d)
-        if self._stack is not None:
-            # One product for every set; argmax and argmin take the first
-            # extremal row, as each set's own scan does.
-            b = self._stack
-            dots = b @ obj.lifted()
-            rows = np.arange(self.d)
-            return b[rows, dots.argmax(axis=1)], b[rows, dots.argmin(axis=1)]
+        if self._batch is not None:
+            return self._batch.extremes(obj)
         up = np.empty((self.d, self.d))
         down = np.empty((self.d, self.d))
         for i, rs in enumerate(self.sets):
@@ -490,4 +587,6 @@ class ProductFamily:
         A = np.asarray(A, dtype=float)
         if A.shape != (self.d, self.d):
             return False
+        if isinstance(self._batch, _L1Batch):
+            return self._batch.contains(A, tol)
         return all(rs.contains(A[i], tol) for i, rs in enumerate(self.sets))

@@ -240,3 +240,44 @@ def test_closest_unstable_jordan_block():
     assert eig_rho(X) >= 5.0 - 1e-5
     assert np.all(X >= 0.0)
     assert np.max(np.abs(X - JORDAN).sum(axis=1)) <= r + 1e-9
+
+
+# ------------------------------------------- batched families, end to end
+
+class _PerSetDegrees(GraphDegreeSet):
+    """A degree set of another type, so its family runs one kernel per set."""
+
+
+def _assert_same_result(got, want):
+    for a, b in ((got.matrix, want.matrix), (got.eigenvector, want.eigenvector)):
+        assert a.tobytes() == b.tobytes()
+    assert (got.rho, got.bounds, got.status, got.iterations) == (
+        want.rho, want.bounds, want.status, want.iterations)
+
+
+def test_batched_families_optimize_as_their_per_set_copies():
+    import pickle
+
+    from spectral_optim import gen, optimize
+
+    sparse = gen.generate_random_family(100, 1, (0.09, 0.15), seed=0)
+    matrices = (demo.unstable_demo_matrix(),
+                np.vstack([rs.rows[0] for rs in sparse.sets]))
+    for A in matrices:
+        for radius in (0.0, 0.5, 2.0, 8.0):
+            family = stabilization_family(A, radius)
+            per_set = pickle.loads(pickle.dumps(family))
+            assert family._batch is not None and per_set._batch is None
+            for direction in ("max", "min"):
+                cfg = OptimizerConfig(direction=direction)
+                _assert_same_result(optimize(family, cfg), optimize(per_set, cfg))
+    for seed, d in ((1, 40), (2, 150)):
+        u = gen.CounterStream(seed).uniform_half_open(d)
+        degrees = [int(n) for n in 1 + np.floor(u * d)]
+        for direction in ("max", "min"):
+            family = degree_family(DegreeSpec(tuple(degrees), direction))
+            sense = family.sets[0].sense
+            per_set = type(family)(tuple(_PerSetDegrees(d, n, sense) for n in degrees))
+            assert family._batch is not None and per_set._batch is None
+            cfg = OptimizerConfig(direction=direction)
+            _assert_same_result(optimize(family, cfg), optimize(per_set, cfg))

@@ -252,6 +252,39 @@ def test_nonconvergence_carries_last_iterate():
     assert np.all(np.isfinite(err.value.last_iterate))
 
 
+_ENTRY_CHECKS = (
+    (lambda a: check_vector(a[1]), "vector entries"),
+    (check_matrix, "matrix entries"),
+    (FiniteSet, "rows"),
+    (HalfspacePoly, "normals"),
+)
+
+
+@pytest.mark.parametrize("bad, rule", [(np.nan, "finite"), (np.inf, "finite"),
+                                       (-np.inf, "finite"), (-1.0, "non-negative"),
+                                       (-5e-324, "non-negative")])
+def test_every_entry_check_refuses_nan_infinities_and_negatives(bad, rule):
+    for build, what in _ENTRY_CHECKS:
+        a = np.ones((3, 3))
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{what} must be {rule}$"):
+            build(a)
+        # A non-finite entry is named first, whatever else the array holds.
+        a[1, 0] = -1.0
+        with pytest.raises(ValueError, match=f"^{what} must be {rule}$"):
+            build(a)
+
+
+def test_entry_checks_accept_negative_zero_and_empty_arrays():
+    for build, _ in _ENTRY_CHECKS:
+        a = np.ones((3, 3))
+        a[1, :] = -0.0
+        build(a)
+    assert check_vector(np.array([])).shape == (0,)
+    assert check_vector([], 0).shape == (0,)
+    assert HalfspacePoly(np.empty((0, 3))).d == 3
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="square"):
         check_matrix(np.ones((2, 3)))

@@ -479,9 +479,9 @@ def test_stacked_scan_matches_the_per_set_scan_bit_for_bit():
     for case in range(60):
         d, n = 2 + case % 29, 1 + case % 4
         family = generate_random_family(d, n, (0.05, 0.6), seed=700 + case)
-        assert family._stack is not None
+        assert family._batch is not None
         copy = _copied(family)
-        assert copy._stack is None
+        assert copy._batch is None
         v = rng.random(d) * (rng.random(d) < 0.7)
         v[case % d] += 0.25
         _assert_same_extremes(family, copy, v)
@@ -497,7 +497,7 @@ def test_stacked_scan_takes_the_first_of_tied_rows():
     block[:, 3] = [0.0, 1.0, 0.0]
     block[2, 1] = [0.0, 0.0, 1.0]
     family = ProductFamily(tuple(FiniteSet(rows) for rows in block))
-    assert family._stack is block
+    assert family._batch.block is block
     v = np.array([1.0, 1.0, 0.5])
     up, down = family.extremes(v)
     assert np.array_equal(up, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -518,8 +518,23 @@ def test_families_off_the_block_keep_the_per_set_scan():
                           + (L1Ball(block[-1, 0], 0.5),))
     unequal = ProductFamily(tuple(FiniteSet(rows[: 1 + i % 3])
                                   for i, rows in enumerate(block)))
-    for family in (reversed_views, mixed, unequal):
-        assert family._stack is None
+    centers = rng.integers(0, 5, (d, d)) / 4.0
+    balls = tuple(L1Ball(c, 0.25 * i) for i, c in enumerate(centers))
+    degrees = tuple(GraphDegreeSet(d, 1 + i % d, ("at_most", "at_least")[i % 2])
+                    for i in range(d))
+    off_block = (
+        ProductFamily(tuple(L1Ball(c, 0.5) for c in centers[::-1])),
+        ProductFamily(tuple(L1Ball(c.copy(), 0.5) for c in centers)),
+        ProductFamily(tuple(L1Ball(c, 0.5) for c in np.asfortranarray(centers))),
+        ProductFamily(tuple(L1Ball(c, 0.5) for c in centers[:, ::-1])),
+        ProductFamily(balls[:-1] + (degrees[-1],)),
+        ProductFamily(degrees[:-1] + (balls[-1],)),
+        ProductFamily(degrees[:-1] + (FiniteSet(block[-1]),)),
+    )
+    assert ProductFamily(balls)._batch.center is centers
+    assert ProductFamily(degrees)._batch is not None
+    for family in (reversed_views, mixed, unequal) + off_block:
+        assert family._batch is None
         for _ in range(20):
             v = rng.random(d) * (rng.random(d) < 0.7)
             v[0] += 0.1
@@ -533,9 +548,138 @@ def test_a_copied_family_drops_the_shared_block():
     import copy
     import pickle
 
+    from spectral_optim import degree_family, DegreeSpec, stabilization_family
+
     family = generate_random_family(5, 2, (0.3, 0.6), seed=3)
-    assert copy.copy(family)._stack is family._stack
+    assert copy.copy(family)._batch.block is family._batch.block
     v = np.arange(1.0, 6.0)
     for other in (copy.deepcopy(family), pickle.loads(pickle.dumps(family))):
-        assert other._stack is None
+        assert other._batch is None
         _assert_same_extremes(family, other, v)
+    balls = stabilization_family(np.arange(25.0).reshape(5, 5) % 3, 1.5)
+    assert copy.copy(balls)._batch.center is balls._batch.center
+    for other in (copy.deepcopy(balls), pickle.loads(pickle.dumps(balls))):
+        assert other._batch is None
+        _assert_same_extremes(balls, other, v)
+        A = np.vstack([rs.center for rs in balls.sets])
+        assert other.contains_matrix(A + 0.25) and balls.contains_matrix(A + 0.25)
+        assert not other.contains_matrix(A + 0.5) and not balls.contains_matrix(A + 0.5)
+    # Degree sets hold no array, so a copy finds a batch of its own.
+    graphs = degree_family(DegreeSpec((1, 3, 5, 2, 2), "min"))
+    for other in (copy.copy(graphs), copy.deepcopy(graphs),
+                  pickle.loads(pickle.dumps(graphs))):
+        assert other._batch is not None and other._batch is not graphs._batch
+        _assert_same_extremes(graphs, other, v)
+
+
+# --------------------------------------- L1 and degree batches, bit for bit
+
+def _assert_rows_match_the_references(family, v):
+    up, down = family.extremes(v)
+    for direction, got in (("max", up), ("min", down)):
+        for i, rs in enumerate(family.sets):
+            want = reference_best_row(rs, v, direction)
+            assert got[i].tobytes() == want.tobytes(), (i, direction)
+    return up, down
+
+
+def _grid_direction(rng, d, case):
+    """v on a coarse grid, so ties and exact zeros are common."""
+    v = rng.integers(0, 4, d) / 4.0
+    if not np.any(v > 0.0):
+        v[case % d] = 0.5
+    return v
+
+
+def test_l1_batch_matches_the_per_row_references_bit_for_bit():
+    rng = np.random.default_rng(115)
+    for case in range(300):
+        d = 1 + case % 13
+        v = _grid_direction(rng, d, case) if case % 3 else rng.random(d) * (rng.random(d) < 0.6)
+        if not np.any(v > 0.0):
+            v[0] = 0.3
+        center = (rng.integers(0, 5, (d, d)) / 4.0 if case % 2
+                  else rng.random((d, d)) * (rng.random((d, d)) < 0.7))
+        order = np.argsort(-v, kind="stable")
+        # Radius 0, a radius that spends a whole prefix of the row exactly
+        # (taken in decreasing order of v), and a random one.
+        radii = [[0.0, float(np.sum(center[i, order[: 1 + (case + i) % d]])),
+                  float(rng.integers(0, 12)) / 4.0 + rng.random() * (case % 2)][(case + i) % 3]
+                 for i in range(d)]
+        family = ProductFamily(tuple(L1Ball(center[i], radii[i]) for i in range(d)))
+        assert family._batch.center is center
+        _assert_rows_match_the_references(family, v)
+        _assert_rows_match_the_references(family, v * 2.0 ** -60)
+
+
+def test_degree_batch_mixes_both_senses_bit_for_bit():
+    rng = np.random.default_rng(116)
+    for case in range(300):
+        d = 1 + case % 17
+        v = _grid_direction(rng, d, case) if case % 2 else rng.random(d)
+        senses = [("at_most", "at_least")[int(b)] for b in rng.integers(0, 2, d)]
+        if case % 5 == 0:
+            senses = ["at_most"] * d
+        elif case % 5 == 1:
+            senses = ["at_least"] * d
+        family = ProductFamily(tuple(GraphDegreeSet(d, int(rng.integers(1, d + 1)), s)
+                                     for s in senses))
+        assert family._batch is not None
+        _assert_rows_match_the_references(family, v)
+        _assert_rows_match_the_references(family, v * 2.0 ** -60)
+
+
+def test_batches_hand_out_new_matrices():
+    rng = np.random.default_rng(117)
+    d = 7
+    center = rng.random((d, d))
+    v = _grid_direction(rng, d, 0)
+    for family in (ProductFamily(tuple(L1Ball(c, 0.75) for c in center)),
+                   ProductFamily(tuple(GraphDegreeSet(d, 1 + i % d, ("at_most", "at_least")[i % 2])
+                                       for i in range(d))),
+                   ProductFamily(tuple(GraphDegreeSet(d, 2) for _ in range(d)))):
+        assert family._batch is not None
+        first = [m.copy() for m in family.extremes(v)]
+        for m in family.extremes(v):
+            m[:] = -1.0
+        for got, want in zip(family.extremes(v), first):
+            assert got.tobytes() == want.tobytes()
+    assert np.all(center >= 0.0)
+
+
+def test_l1_batch_membership_agrees_with_each_ball_at_the_boundary():
+    def both(family, X, tol):
+        per_set = all(rs.contains(X[i], tol) for i, rs in enumerate(family.sets))
+        assert family._batch is not None
+        assert family.contains_matrix(X, tol) == per_set
+        return per_set
+
+    center = np.array([[0.5, 0.25, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    family = ProductFamily(tuple(L1Ball(c, 0.5) for c in center))
+    for tol in (0.25, 1e-9):
+        edge = 0.5 + tol
+        X = center.copy()
+        X[0, 2] = edge                       # the row's L1 distance is r + tol exactly
+        assert both(family, X, tol)
+        X[0, 2] = np.nextafter(edge, 1.0)
+        assert not both(family, X, tol)
+        X = center.copy()
+        X[1, 2] = -tol                       # an entry at -tol
+        assert both(family, X, tol)
+        X[1, 2] = np.nextafter(-tol, -1.0)
+        assert not both(family, X, tol)
+    assert not family.contains_matrix(np.zeros((3, 4)))
+
+    # The row sums of the one-pass test are the sets' own sums to the last
+    # bit: each row passes at its own sum and fails one ulp below it.
+    rng = np.random.default_rng(118)
+    for d in (1, 2, 7, 8, 9, 16, 127, 128, 129, 300, 1000):
+        center = rng.random((d, d))
+        X = np.maximum(center + rng.normal(size=(d, d)) * 0.1, 0.0)
+        sums = [float(np.sum(np.abs(X[i] - center[i]))) for i in range(d)]
+        assert both(ProductFamily(tuple(L1Ball(c, r) for c, r in zip(center, sums))), X, 0.0)
+        for k in {0, d // 2, d - 1}:
+            radii = list(sums)
+            radii[k] = np.nextafter(sums[k], 0.0)
+            assert not both(ProductFamily(tuple(L1Ball(c, r) for c, r in zip(center, radii))),
+                            X, 0.0)
