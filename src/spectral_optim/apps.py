@@ -114,9 +114,8 @@ class StabilizationProblem:
 
 def stabilization_family(A, radius: float) -> ProductFamily:
     """Family of matrices within row-wise L1 distance ``radius`` of A."""
-    # One C-contiguous copy whose rows are the centers: the family scans
-    # them as one batch (see :class:`~.rows.ProductFamily`).
-    C = np.array(check_matrix(A), order="C")
+    # A copy, so that no set's center aliases the caller's A.
+    C = np.array(check_matrix(A))
     return ProductFamily(tuple(L1Ball(C[i], radius) for i in range(C.shape[0])))
 
 

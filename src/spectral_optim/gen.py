@@ -25,8 +25,9 @@ Because each draw is addressed by its position, the finite generator hashes
 only the draws it uses: every gamma and every density check, a magnitude
 only where its check passes, and a fallback only for an all-zero row.  It
 works on groups of whole sets, about 2^18 checks at a time, and writes the
-family into one C-contiguous (d, N, d) block; set i holds the view block[i]
-(see :class:`~.rows.ProductFamily` for the scan this allows).
+family into one C-contiguous (d, N, d) block; set i holds the view block[i].
+The block goes to the family with its sets, and the family's oracle scans
+every set with one product over it (see :mod:`~.rows`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import check_count
-from .rows import FiniteSet, HalfspacePoly, ProductFamily
+from .rows import HalfspacePoly, ProductFamily, _finite_family
 
 __all__ = [
     "CounterStream",
@@ -155,7 +156,7 @@ def generate_random_family(d: int, set_size: int,
         q = np.flatnonzero(~passed.reshape(-1, d).any(axis=1))
         k = q + (q // n) * (span - n) + (base + 2 + 2 * nd)
         block[i0:i1].reshape(-1, d)[q, 0] = _open_closed(_draws(seed, k.astype(np.uint64)))
-    return ProductFamily(tuple(FiniteSet(rows) for rows in block))
+    return _finite_family(block)
 
 
 def generate_random_poly_family(d: int, n_normals: int,

@@ -6,26 +6,27 @@ d-vectors.  Because the rows decouple, optimizing the spectral radius over
 the family reduces to repeatedly answering one question per row: which members
 of F_i maximize and minimize the inner product with a given non-negative
 direction v?  :meth:`ProductFamily.extremes` answers both for every row in one
-call: it validates v once and fills the maximizing and the minimizing matrix
-with one array kernel for the whole family, where the family is one of three
-batched kinds, found once when the family is made:
+call: it validates v once and fills the maximizing and the minimizing matrix.
 
-* finite sets whose rows are the slices b[0], ..., b[d-1] of one
-  C-contiguous (d, N, d) array b, in set order (what
-  ``gen.generate_random_family`` builds): one product ``b @ v``, an argmax
-  and an argmin along the set axis, and two gathers;
-* L1 balls whose centers are the rows of one C-contiguous (d, d) array, in
-  set order (what ``apps.stabilization_family`` builds): the set kernel
-  below on every row at once, over the shared order of v;
-* degree sets of any senses: one rank of v per sense, compared with every
-  set's degree.
+Finite sets, L1 balls and degree sets each have one kernel, written for a
+stack of k sets of their kind: it finds the best and the worst row of every
+set of the stack at once.  A set's own oracle runs it on a stack of one,
+over views of the set's arrays.  A family runs it once for all of its sets
+where they are of one such kind, chosen by set type when the family is
+made:
 
-The arrays are the sets' own memory, so a batch never goes stale and takes
-no memory of its own; in turn a set's view keeps the whole array alive.
-Every other family (mixed set types, unequal N, arrays built or read one set
-at a time, or not in set order, copies and pickles) runs one kernel per set,
-with the same results to the last bit.  The L1 batch also tests a matrix's
-membership in one pass.  Each set variant's kernel is exact:
+* a family of L1 balls copies its centers into one (d, d) array and its
+  radii into a column;
+* a family of degree sets keeps its degrees as two columns, one per sense;
+* a family from ``gen.generate_random_family`` scans the (d, N, d) block
+  whose slices are its finite sets, which the generator hands over with
+  the family.
+
+Every other family (mixed set types, subclasses, finite sets built by hand
+or read from a file, copies and pickles of a generated family) runs the
+kernels one set at a time, with the same results to the last bit.  A family
+of L1 balls also tests a matrix's membership in one pass.  The kernels are
+exact:
 
 * :class:`FiniteSet` scans an explicit list of rows: one product ``rows @ v``
   gives both the argmax and the argmin.  A v whose largest component is
@@ -33,7 +34,8 @@ membership in one pass.  Each set variant's kernel is exact:
   the scaling is exact, so it keeps every comparison, but products of a
   tiny v no longer underflow into false ties.
 * :class:`GraphDegreeSet` is the 0/1 rows with a row-sum constraint; the
-  optimum puts ones on the largest (or smallest) components of v.
+  optimum puts ones on the largest (or smallest) components of v, those
+  whose rank in the stable order of v is below the degree.
 * :class:`L1Ball` moves budget from a non-negative center row; the maximum
   spends everything on the single best coordinate, the minimum removes mass
   from the most expensive coordinates first.
@@ -57,8 +59,8 @@ membership in one pass.  Each set variant's kernel is exact:
 
 The graph and L1 kernels order the components of v with a stable sort.  The
 sort is made at most once per call, on first use, and shared by every set
-of the family, batched or not.  :meth:`RowSet.best_row` and
-:meth:`ProductFamily.best_matrix` return one side of the same kernels' pair.
+of the family.  :meth:`RowSet.best_row` and :meth:`ProductFamily.best_matrix`
+return one side of the same kernels' pair.
 
 Ties are broken deterministically toward the lowest index so that runs are
 reproducible: the first maximal (minimal) finite row, the lowest indices
@@ -147,15 +149,12 @@ class RowSet(abc.ABC):
         """
         _check_direction(direction)
         up, down = self._extremes(_Objective(v, self.d))
-        return np.array(up if direction == "max" else down)
+        return up if direction == "max" else down
 
     @abc.abstractmethod
     def _extremes(self, obj: _Objective) -> tuple[np.ndarray, np.ndarray]:
-        """The maximizing and the minimizing row against ``obj.v``.
-
-        The rows may be views of the set's own arrays: callers copy them
-        before handing them out.
-        """
+        """The maximizing and the minimizing row against ``obj.v``, as new
+        arrays."""
 
     @abc.abstractmethod
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -188,8 +187,8 @@ class FiniteSet(RowSet):
         return self.rows.shape[0]
 
     def _extremes(self, obj):
-        dots = self.rows @ obj.lifted()
-        return self.rows[int(np.argmax(dots))], self.rows[int(np.argmin(dots))]
+        up, down = _FiniteBatch(self.rows[None]).extremes(obj)
+        return up[0], down[0]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -225,16 +224,8 @@ class GraphDegreeSet(RowSet):
         return self.dim
 
     def _extremes(self, obj):
-        # At most n ones: the maximum puts them on the n largest components,
-        # the minimum is the empty row.  At least n ones: the maximum is the
-        # full row, the minimum keeps the n smallest components.
-        if self.sense == "at_most":
-            up = np.zeros(self.dim)
-            up[obj.descending()[: self.n]] = 1.0
-            return up, np.zeros(self.dim)
-        down = np.zeros(self.dim)
-        down[obj.ascending()[: self.n]] = 1.0
-        return np.ones(self.dim), down
+        up, down = _DegreeBatch((self,)).extremes(obj)
+        return up[0], down[0]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -270,30 +261,16 @@ class L1Ball(RowSet):
     def d(self) -> int:
         return self.center.shape[0]
 
+    def _as_batch(self) -> _L1Batch:
+        return _L1Batch(self.center[None], np.array([[self.radius]]))
+
     def _extremes(self, obj):
-        v = obj.v
-        # The whole budget on the single most valuable coordinate is
-        # optimal: objective gain is linear in each coordinate's share.
-        up = self.center.copy()
-        up[int(np.argmax(v))] += self.radius
-        # The minimum removes mass from the coordinates of positive v in
-        # decreasing order of v until the budget runs out.  budget[m] is
-        # what remains before coordinate m, subtracted in that same order,
-        # so it is the sequential loop's budget to the last bit; coordinate
-        # m keeps what exceeds it, and nothing once it is spent.
-        live = obj.descending()[: np.count_nonzero(v > 0.0)]
-        mass = self.center[live]
-        budget = np.subtract.accumulate(np.concatenate(([self.radius], mass)))
-        down = self.center.copy()
-        down[live] = np.where(budget[:-1] > 0.0,
-                              np.maximum(mass - budget[:-1], 0.0), mass)
-        return up, down
+        up, down = self._as_batch().extremes(obj)
+        return up[0], down[0]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,) or np.any(x < -tol):
-            return False
-        return bool(np.sum(np.abs(x - self.center)) <= self.radius + tol)
+        return x.shape == (self.d,) and self._as_batch().contains(x[None], tol)
 
     def entry_range(self):
         lo = float(np.min(np.maximum(self.center - self.radius, 0.0)))
@@ -403,22 +380,6 @@ class Ellipsoid(RowSet):
         return lo, hi
 
 
-def _block_of(views) -> np.ndarray | None:
-    """The C-contiguous float64 array b whose slices b[0], b[1], ... are the
-    given arrays, in order and in the same memory, or None where there is
-    no such array."""
-    b = views[0].base
-    if (not isinstance(b, np.ndarray) or b.dtype != np.float64
-            or b.shape[0] != len(views) or not b.flags.c_contiguous):
-        return None
-    address, step = b.ctypes.data, b.strides[0]
-    for i, a in enumerate(views):
-        if not (a.base is b and a.shape == b.shape[1:] and a.strides == b.strides[1:]
-                and a.ctypes.data == address + i * step):
-            return None
-    return b
-
-
 def _ranks(order: np.ndarray) -> np.ndarray:
     """rank[j] is the position of index j in the permutation ``order``."""
     rank = np.empty_like(order)
@@ -427,9 +388,9 @@ def _ranks(order: np.ndarray) -> np.ndarray:
 
 
 class _FiniteBatch:
-    """Finite sets whose rows are the slices of one (d, N, d) block: one
+    """Finite sets of N rows each, stacked as one (k, N, d) array: one
     product scans them all, and argmax and argmin along the set axis take
-    the first extremal row, as each set's own scan does."""
+    the first extremal row of each set."""
 
     __slots__ = ("block",)
 
@@ -444,21 +405,26 @@ class _FiniteBatch:
 
 
 class _L1Batch:
-    """L1 balls whose centers are the rows of one (d, d) array, radii kept
-    as a column: the per-set kernel run on every row at once.  The budget
-    is an accumulate along each row, sequential as in the set's kernel, so
-    the rows agree with it to the last bit."""
+    """L1 balls with their centers stacked as a (k, d) array and their radii
+    as a (k, 1) column."""
 
     __slots__ = ("center", "radius")
 
-    def __init__(self, center: np.ndarray, sets):
-        self.center = center
-        self.radius = np.array([[rs.radius] for rs in sets])
+    def __init__(self, center: np.ndarray, radius: np.ndarray):
+        self.center, self.radius = center, radius
 
     def extremes(self, obj):
         c, r, v = self.center, self.radius, obj.v
+        # The whole budget on the single most valuable coordinate is
+        # optimal: objective gain is linear in each coordinate's share.
         up = c.copy()
-        up[:, int(np.argmax(v))] += r[:, 0]
+        up[:, v.argmax()] += r[:, 0]
+        # The minimum removes mass from the coordinates of positive v in
+        # decreasing order of v until the budget runs out.  budget[:, m] is
+        # what remains before coordinate m, subtracted in that same order
+        # along each row, so it is the sequential loop's budget to the last
+        # bit; coordinate m keeps what exceeds it, and nothing once it is
+        # spent.
         live = obj.descending()[: np.count_nonzero(v > 0.0)]
         mass = c[:, live]
         budget = np.subtract.accumulate(np.concatenate((r, mass), axis=1), axis=1)[:, :-1]
@@ -467,58 +433,58 @@ class _L1Batch:
         return up, down
 
     def contains(self, X: np.ndarray, tol: float) -> bool:
-        if np.any(X < -tol):
+        if (X < -tol).any():
             return False
-        return bool(np.all(np.sum(np.abs(X - self.center), axis=1) <= self.radius[:, 0] + tol))
+        return bool((np.abs(X - self.center).sum(axis=1) <= self.radius[:, 0] + tol).all())
 
 
 class _DegreeBatch:
     """Degree sets of both senses.  Row i of the maximum has ones where the
-    rank of v's component in the shared descending order is below n_up[i]
+    rank of v's component in the stable descending order is below n_up[i]
     (n for 'at_most', d, the full row, for 'at_least'); row i of the
     minimum where its rank in the ascending order is below n_down[i] (0,
-    the empty row, for 'at_most', n for 'at_least').  The ranks come from
-    the same stable sorts as the sets' own kernels, so ties go the same way,
-    and an order no row needs is not made."""
+    the empty row, for 'at_most', n for 'at_least').  Ties go to the lowest
+    index, and an order no row needs is not made."""
 
     __slots__ = ("n_up", "n_down", "sorts_up", "sorts_down")
 
     def __init__(self, sets):
-        d = len(sets)
-        self.n_up = np.array([[rs.n if rs.sense == "at_most" else d] for rs in sets])
-        self.n_down = np.array([[rs.n if rs.sense == "at_least" else 0] for rs in sets])
-        self.sorts_up = bool(np.any(self.n_up < d))
-        self.sorts_down = bool(np.any(self.n_down > 0))
+        d = sets[0].dim
+        n_up = [rs.n if rs.sense == "at_most" else d for rs in sets]
+        n_down = [rs.n if rs.sense == "at_least" else 0 for rs in sets]
+        self.sorts_up, self.sorts_down = min(n_up) < d, max(n_down) > 0
+        self.n_up, self.n_down = np.array(n_up)[:, None], np.array(n_down)[:, None]
 
     def extremes(self, obj):
-        d = self.n_up.shape[0]
-        if self.sorts_up:
-            up = np.less(_ranks(obj.descending()), self.n_up, out=np.empty((d, d)))
-        else:
-            up = np.ones((d, d))
-        if self.sorts_down:
-            down = np.less(_ranks(obj.ascending()), self.n_down, out=np.empty((d, d)))
-        else:
-            down = np.zeros((d, d))
+        shape = (self.n_up.shape[0], obj.v.shape[0])
+        up = (np.less(_ranks(obj.descending()), self.n_up, out=np.empty(shape))
+              if self.sorts_up else np.ones(shape))
+        down = (np.less(_ranks(obj.ascending()), self.n_down, out=np.empty(shape))
+                if self.sorts_down else np.zeros(shape))
         return up, down
 
 
 def _batch_of(sets):
-    """One batch kernel for the whole family, where all sets are of one
-    batched kind (and, for finite sets and L1 balls, view one array in set
-    order), else None."""
+    """One batch kernel for a family of L1 balls only or of degree sets
+    only, else None."""
     kind = type(sets[0])
     if any(type(rs) is not kind for rs in sets):
         return None
     if kind is GraphDegreeSet:
         return _DegreeBatch(sets)
-    if kind is FiniteSet:
-        block = _block_of([rs.rows for rs in sets])
-        return None if block is None else _FiniteBatch(block)
     if kind is L1Ball:
-        center = _block_of([rs.center for rs in sets])
-        return None if center is None else _L1Batch(center, sets)
+        return _L1Batch(np.array([rs.center for rs in sets]),
+                        np.array([[rs.radius] for rs in sets]))
     return None
+
+
+def _finite_family(block: np.ndarray) -> ProductFamily:
+    """The family of the finite sets block[0], ..., block[d-1] of one
+    (d, N, d) float64 array, answered by one scan of the block.  The sets
+    are views of the block, so the scan reads their own rows."""
+    family = ProductFamily(tuple(FiniteSet(rows) for rows in block))
+    object.__setattr__(family, "_batch", _FiniteBatch(block))
+    return family
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,8 +511,9 @@ class ProductFamily:
         object.__setattr__(self, "_batch", _batch_of(sets))
 
     def __reduce__(self):
-        # A copy rebuilds the family from its copied sets, whose arrays no
-        # longer view one block, rather than carrying a detached batch.
+        # Copies and pickles rebuild the family from its sets.  Pickling the
+        # fields would write a generated family's block beside the sets'
+        # views of it: 32 MB in place of 16 MB at d=200, N=50.
         return ProductFamily, (self.sets,)
 
     @property

@@ -248,11 +248,30 @@ class _PerSetDegrees(GraphDegreeSet):
     """A degree set of another type, so its family runs one kernel per set."""
 
 
+class _PerSetBall(L1Ball):
+    """An L1 ball of another type, so its family runs one kernel per set."""
+
+
 def _assert_same_result(got, want):
     for a, b in ((got.matrix, want.matrix), (got.eigenvector, want.eigenvector)):
         assert a.tobytes() == b.tobytes()
     assert (got.rho, got.bounds, got.status, got.iterations) == (
         want.rho, want.bounds, want.status, want.iterations)
+
+
+def test_stabilization_family_does_not_alias_the_callers_matrix():
+    A = demo.unstable_demo_matrix()
+    family = stabilization_family(A, 0.5)
+    member = A + 0.05
+    v = np.arange(1.0, 11.0)
+    before = family.extremes(v)
+    A[:] = 100.0
+    for got, want in zip(family.extremes(v), before):
+        assert got.tobytes() == want.tobytes()
+    for i, rs in enumerate(family.sets):
+        assert rs.best_row(v, "min").tobytes() == before[1][i].tobytes()
+    assert family.contains_matrix(member)
+    assert all(rs.contains(member[i]) for i, rs in enumerate(family.sets))
 
 
 def test_batched_families_optimize_as_their_per_set_copies():
@@ -266,11 +285,16 @@ def test_batched_families_optimize_as_their_per_set_copies():
     for A in matrices:
         for radius in (0.0, 0.5, 2.0, 8.0):
             family = stabilization_family(A, radius)
-            per_set = pickle.loads(pickle.dumps(family))
-            assert family._batch is not None and per_set._batch is None
+            per_set = type(family)(tuple(_PerSetBall(rs.center, rs.radius)
+                                         for rs in family.sets))
+            pickled = pickle.loads(pickle.dumps(family))
+            assert per_set._batch is None
+            assert family._batch is not None and pickled._batch is not None
             for direction in ("max", "min"):
                 cfg = OptimizerConfig(direction=direction)
-                _assert_same_result(optimize(family, cfg), optimize(per_set, cfg))
+                want = optimize(family, cfg)
+                _assert_same_result(optimize(per_set, cfg), want)
+                _assert_same_result(optimize(pickled, cfg), want)
     for seed, d in ((1, 40), (2, 150)):
         u = gen.CounterStream(seed).uniform_half_open(d)
         degrees = [int(n) for n in 1 + np.floor(u * d)]

@@ -75,6 +75,37 @@ def test_family_round_trip_covers_every_variant(tmp_path):
                 assert loaded.radius == orig.radius
 
 
+def test_file_read_families_give_the_same_extremes_to_the_byte(tmp_path):
+    from spectral_optim import DegreeSpec, degree_family, stabilization_family
+    from spectral_optim.gen import generate_random_family
+
+    A = demo.unstable_demo_matrix()
+    d = A.shape[0]
+    mixed = ProductFamily(tuple(
+        (L1Ball(A[i], 0.5 * i),
+         GraphDegreeSet(d, demo.DEMO_DEGREES[i % 7], ("at_most", "at_least")[i % 2]),
+         FiniteSet(A[[i, (i + 1) % d, (i + 3) % d]]))[i % 3]
+        for i in range(d)))
+    families = (generate_random_family(d, 3, (0.2, 0.6), seed=4),
+                stabilization_family(A, 1.5),
+                degree_family(DegreeSpec((3, 2, 3, 2, 4, 1, 1, 9, 10, 5), "min")),
+                mixed)
+    # The generated family scans its block; read back, it runs set by set.
+    assert families[0]._batch is not None
+    rng = np.random.default_rng(21)
+    path = tmp_path / "family.json"
+    for fam in families:
+        save_family(fam, path)
+        back = load_family(path)
+        for case in range(30):
+            v = rng.integers(0, 4, d) / 4.0 if case % 2 else rng.random(d)
+            v[case % d] += 0.125
+            for scale in (1.0, 2.0 ** -60):
+                for got, want in zip(back.extremes(v * scale), fam.extremes(v * scale)):
+                    assert got.tobytes() == want.tobytes()
+    assert load_family(path)._batch is None
+
+
 def test_family_dict_errors():
     obj = family_to_dict(_mixed_family())
     obj["d"] = 2

@@ -13,6 +13,7 @@ from spectral_optim import (
 )
 
 from spectral_optim.gen import generate_random_family
+from spectral_optim.rows import _finite_family
 
 from oracles import (
     degree_best_value,
@@ -496,7 +497,7 @@ def test_stacked_scan_takes_the_first_of_tied_rows():
     block[:, 2] = [1.0, 0.0, 0.0]
     block[:, 3] = [0.0, 1.0, 0.0]
     block[2, 1] = [0.0, 0.0, 1.0]
-    family = ProductFamily(tuple(FiniteSet(rows) for rows in block))
+    family = _finite_family(block)
     assert family._batch.block is block
     v = np.array([1.0, 1.0, 0.5])
     up, down = family.extremes(v)
@@ -522,19 +523,25 @@ def test_families_off_the_block_keep_the_per_set_scan():
     balls = tuple(L1Ball(c, 0.25 * i) for i, c in enumerate(centers))
     degrees = tuple(GraphDegreeSet(d, 1 + i % d, ("at_most", "at_least")[i % 2])
                     for i in range(d))
-    off_block = (
+    # L1 and degree families batch whatever the layout of their arrays.
+    batched = (
+        ProductFamily(balls),
+        ProductFamily(degrees),
         ProductFamily(tuple(L1Ball(c, 0.5) for c in centers[::-1])),
         ProductFamily(tuple(L1Ball(c.copy(), 0.5) for c in centers)),
         ProductFamily(tuple(L1Ball(c, 0.5) for c in np.asfortranarray(centers))),
         ProductFamily(tuple(L1Ball(c, 0.5) for c in centers[:, ::-1])),
+    )
+    # Mixed kinds, and finite sets not handed over as a block, run set by set.
+    per_set = (
+        reversed_views, mixed, unequal,
+        ProductFamily(tuple(FiniteSet(rows) for rows in block)),
         ProductFamily(balls[:-1] + (degrees[-1],)),
         ProductFamily(degrees[:-1] + (balls[-1],)),
         ProductFamily(degrees[:-1] + (FiniteSet(block[-1]),)),
     )
-    assert ProductFamily(balls)._batch.center is centers
-    assert ProductFamily(degrees)._batch is not None
-    for family in (reversed_views, mixed, unequal) + off_block:
-        assert family._batch is None
+    for family in batched + per_set:
+        assert (family._batch is not None) == (family in batched)
         for _ in range(20):
             v = rng.random(d) * (rng.random(d) < 0.7)
             v[0] += 0.1
@@ -550,21 +557,24 @@ def test_a_copied_family_drops_the_shared_block():
 
     from spectral_optim import degree_family, DegreeSpec, stabilization_family
 
+    # A copy is rebuilt from the sets, so a generated family's copies scan
+    # set by set.
     family = generate_random_family(5, 2, (0.3, 0.6), seed=3)
-    assert copy.copy(family)._batch.block is family._batch.block
     v = np.arange(1.0, 6.0)
-    for other in (copy.deepcopy(family), pickle.loads(pickle.dumps(family))):
+    for other in (copy.copy(family), copy.deepcopy(family),
+                  pickle.loads(pickle.dumps(family))):
         assert other._batch is None
         _assert_same_extremes(family, other, v)
+    # L1 and degree families copy their state, so a copy builds a batch of
+    # its own.
     balls = stabilization_family(np.arange(25.0).reshape(5, 5) % 3, 1.5)
-    assert copy.copy(balls)._batch.center is balls._batch.center
-    for other in (copy.deepcopy(balls), pickle.loads(pickle.dumps(balls))):
-        assert other._batch is None
+    for other in (copy.copy(balls), copy.deepcopy(balls),
+                  pickle.loads(pickle.dumps(balls))):
+        assert other._batch is not None and other._batch is not balls._batch
         _assert_same_extremes(balls, other, v)
         A = np.vstack([rs.center for rs in balls.sets])
         assert other.contains_matrix(A + 0.25) and balls.contains_matrix(A + 0.25)
         assert not other.contains_matrix(A + 0.5) and not balls.contains_matrix(A + 0.5)
-    # Degree sets hold no array, so a copy finds a batch of its own.
     graphs = degree_family(DegreeSpec((1, 3, 5, 2, 2), "min"))
     for other in (copy.copy(graphs), copy.deepcopy(graphs),
                   pickle.loads(pickle.dumps(graphs))):
@@ -607,7 +617,7 @@ def test_l1_batch_matches_the_per_row_references_bit_for_bit():
                   float(rng.integers(0, 12)) / 4.0 + rng.random() * (case % 2)][(case + i) % 3]
                  for i in range(d)]
         family = ProductFamily(tuple(L1Ball(center[i], radii[i]) for i in range(d)))
-        assert family._batch.center is center
+        assert family._batch.center.tobytes() == center.tobytes()
         _assert_rows_match_the_references(family, v)
         _assert_rows_match_the_references(family, v * 2.0 ** -60)
 
