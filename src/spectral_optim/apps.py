@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import check_count, check_matrix
 from .optimize import OptimizationResult, OptimizerConfig, optimize
-from .rows import GraphDegreeSet, L1Ball, ProductFamily
+from .rows import GraphDegreeSet, ProductFamily, _l1_family
 
 __all__ = [
     "DegreeSpec",
@@ -114,9 +114,9 @@ class StabilizationProblem:
 
 def stabilization_family(A, radius: float) -> ProductFamily:
     """Family of matrices within row-wise L1 distance ``radius`` of A."""
-    # A copy, so that no set's center aliases the caller's A.
-    C = np.array(check_matrix(A))
-    return ProductFamily(tuple(L1Ball(C[i], radius) for i in range(C.shape[0])))
+    # One copy, so that no set's center aliases the caller's A; the centers
+    # are its rows, and the family's batch runs on it.
+    return _l1_family(np.array(check_matrix(A)), radius)
 
 
 def _clip_to_radius(X: np.ndarray, A: np.ndarray, radius: float) -> np.ndarray:

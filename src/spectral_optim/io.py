@@ -162,12 +162,12 @@ def load_matrix(path) -> np.ndarray:
 def write_trace_csv(trace, path) -> None:
     """One CSV row per outer iteration; changed rows are ';'-joined indices,
     then come the pass's eigen path (``TraceRow.eigen_path``), its time in
-    the eigen stage and in the row oracle (``eigen_s``, ``oracle_s``) and its
-    power iterations (``power_iters``)."""
+    the eigen stage and in the row oracle (``eigen_s``, ``oracle_s``), its
+    power steps (``power_iters``) and its matrix squarings (``squarings``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s",
-                    "eigen_path", "eigen_s", "oracle_s", "power_iters"])
+                    "eigen_path", "eigen_s", "oracle_s", "power_iters", "squarings"])
         for row in trace:
             w.writerow([
                 row.iteration,
@@ -180,4 +180,5 @@ def write_trace_csv(trace, path) -> None:
                 repr(float(row.eigen_s)),
                 repr(float(row.oracle_s)),
                 int(row.power_iters),
+                int(row.squarings),
             ])

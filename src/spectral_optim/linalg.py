@@ -9,27 +9,43 @@ leading eigenvector is not unique; the optimizers rely on this selection to
 escape spurious fixed points that other leading eigenvectors would create.
 The radius is always read off A itself, at the returned vector.
 
-:func:`selected_eigenpair` takes the limit by one of two paths.
+:func:`selected_eigenpair` takes the limit by one of three paths.
 
-* *Power.*  An irreducible A (every vertex of its support graph reaches
-  vertex 0 and is reached from it) runs power iteration on A + I from the
-  all-ones direction.
-* *Structural.*  A reducible A takes the limit from its strongly connected
-  classes, which fix it exactly (Rothblum, Linear Algebra Appl. 12, 1975;
-  Berman & Plemmons, *Nonnegative Matrices in the Mathematical Sciences*,
-  ch. 2).  A singleton class's radius is its diagonal entry; a class of at
-  most 32 rows takes its radius and Perron vector from a dense eigensolve,
-  a larger one from power iteration on its block.  rho is the largest class
-  radius, and a class is *basic* when its radius lies within 1e-9 relative
-  of rho (the tie rule).  A class's *height* is 1 if it is basic, else 0,
-  plus the largest height among the classes it has an edge to.  With rho = 0
-  (nilpotent A) the limit is A^h 1 for the largest h with A^h 1 != 0.
-  Otherwise, when exactly one basic class has the top height, the limit is
-  its Perron vector there, and on every other class of top height the
-  solution of (rho I - A_UU) v_U = A_U,rest v_rest, taken sinks first; every
-  other component is exactly 0.  Several basic classes of top height, or a
-  large class whose power stage exhausts its budget, run the power stage on
-  A + I instead.
+* *Squaring.*  A matrix of at most 64 rows squares B = 2^-e A + I, with e
+  the exponent that puts the largest row sum of 2^-e A in [1/2, 1), and
+  rescales each square by a power of two: j squarings give the 2^j-th power
+  iterate (Higham, *Functions of Matrices*, ch. 10).  Both scalings are
+  exact, so 2^k A gives the same vector bit for bit.  It stops once
+  consecutive iterates agree to 1e-12 and the change did not grow.  Two
+  products with the last square follow; a component that loses a quarter
+  of its value between them vanishes in the limit and is set to exactly 0.
+  A small A whose squaring does not settle within 64 squarings (a slow
+  drift between tied classes, such as a Jordan chain coupled at 1e-10 of
+  its diagonal) takes one of the two other paths, like a larger one.
+* *Power.*  A larger irreducible A (every vertex of its support graph
+  reaches vertex 0 and is reached from it) runs power iteration on A + I
+  from the all-ones direction.
+* *Structural.*  A larger reducible A takes the limit from its strongly
+  connected classes, which fix it exactly (Rothblum, Linear Algebra Appl.
+  12, 1975; Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+  Sciences*, ch. 2).  A singleton class's radius is its diagonal entry; a
+  class of at most 32 rows takes its radius and Perron vector from a dense
+  eigensolve, a larger one from power iteration on its block.  rho is the
+  largest class radius, and a class is *basic* when its radius lies within
+  1e-9 relative of rho (the tie rule).  A class's *height* is 1 if it is
+  basic, else 0, plus the largest height among the classes it has an edge
+  to.  With rho = 0 (nilpotent A) the limit is A^h 1 for the largest h with
+  A^h 1 != 0.  Otherwise, when exactly one basic class has the top height,
+  the limit is its Perron vector there, and on every other class of top
+  height the solution of (rho I - A_UU) v_U = A_U,rest v_rest, taken sinks
+  first; every other component is exactly 0.  Several basic classes of top
+  height run the power stage on A + I instead.
+
+A power stage, on A + I or on a class block, that runs through its budget
+(``PowerConfig.max_iters``) continues by squaring from its last iterate,
+without the zero rule where the limit is positive (a class block, an
+irreducible A).  Only such a squaring that does not settle within 64
+squarings raises :class:`PowerIterationError`.
 """
 
 from __future__ import annotations
@@ -61,33 +77,41 @@ _TIE = 1e-9
 # Irreducible classes up to this many rows take their radius and Perron
 # vector from a dense eigensolve; larger ones run the power stage.
 _DENSE_ROWS = 32
+# Matrices up to this many rows take the selected vector by squaring alone.
+_SQUARING_ROWS = 64
+# The squaring stops once consecutive iterates agree to this in max norm
+# (the largest component is 1) and the change did not grow; it gives up
+# after _MAX_SQUARINGS squarings, the 2^64-th power.
+_SQUARING_TOL = 1e-12
+_MAX_SQUARINGS = 64
+# Default power-step budget per row of the matrix or block.
+_POWER_STEPS_PER_ROW = 3
 
 
 class PowerIterationError(RuntimeError):
-    """Power method did not converge within the iteration budget.
+    """The selected vector did not settle: the squaring that continues a
+    power stage past its budget reached its cap of 64 squarings.  Carries
+    the last (normalized) iterate."""
 
-    Carries the last iterate so callers can inspect or reuse it.
-    """
-
-    def __init__(self, message: str, last_iterate: np.ndarray | None = None,
-                 iterations: int = 0):
+    def __init__(self, message: str, last_iterate: np.ndarray | None = None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """Convergence parameters for the power method.
+    """Convergence parameters for the power stage.
 
     Parameters
     ----------
     eps : float
         Stop once the sup-norm difference of successive normalized iterates
-        drops to ``eps`` or below.  Must be finite and positive.
+        drops to ``eps`` or below.  Must be finite and positive.  The
+        squaring stage has its own tolerance (1e-12).
     max_iters : int or None
-        Iteration budget.  ``None`` resolves to ``100 * d + 10000`` for a
-        d x d matrix.
+        Power-step budget; a stage that runs through it continues by
+        squaring.  ``None`` resolves to ``3 * d`` for a d x d matrix or
+        block.
     """
 
     eps: float = 1e-8
@@ -102,7 +126,7 @@ class PowerConfig:
     def resolve_max_iters(self, d: int) -> int:
         if self.max_iters is not None:
             return self.max_iters
-        return 100 * d + 10000
+        return _POWER_STEPS_PER_ROW * d
 
 
 @dataclass(frozen=True)
@@ -117,17 +141,21 @@ class Eigenpair:
         Selected right leading eigenvector, entrywise non-negative with unit
         Euclidean norm.
     power_iters : int
-        Number of power iterations spent, on A + I, on class blocks and
+        Number of power steps spent, on A + I, on class blocks and
         (nilpotent A) on the powers A^h 1.
-    path : {'power', 'structural'}
-        Whether v came from power iteration on A + I or from the classes of
-        a reducible A.
+    path : {'squaring', 'power', 'structural'}
+        Whether v came from squaring A + I (a small A, or a power stage on
+        A + I past its budget), from power iteration on A + I or from the
+        classes of a reducible A.
+    squarings : int
+        Number of matrix squarings spent, on A + I or on class blocks.
     """
 
     rho: float
     v: np.ndarray
     power_iters: int
     path: str
+    squarings: int
 
 
 def _check_entries(a: np.ndarray, what: str) -> None:
@@ -180,24 +208,80 @@ def check_vector(v, d: int | None = None) -> np.ndarray:
 def _power_vector(apply, x: np.ndarray, eps: float, max_iters: int):
     """Normalized power iteration x <- apply(x) from the unit vector x.
 
-    Returns (v, iterations).  ``apply`` must be a non-negative operator with
-    a positive diagonal (A + I) so the iteration cannot collapse to zero and
-    no complex eigenvalue shares the leading modulus.
+    Returns (v, iterations, converged): the last iterate, and whether it
+    settled to ``eps`` within ``max_iters`` steps.  ``apply`` must be a
+    non-negative operator with a positive diagonal (A + I), so the iterate
+    never collapses to zero and no complex eigenvalue shares the leading
+    modulus.
     """
     for k in range(1, max_iters + 1):
         y = apply(x)
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            # Unreachable for A + I, kept as a hard failure for safety.
-            raise PowerIterationError("power iteration collapsed to zero",
-                                      last_iterate=x, iterations=k)
-        y /= nrm
+        y /= float(np.linalg.norm(y))
         if float(np.max(np.abs(y - x))) <= eps:
-            return y, k
+            return y, k, True
         x = y
+    return x, max_iters, False
+
+
+def _lifted(A: np.ndarray) -> np.ndarray:
+    """2^-e A + I, with e the exponent that puts the largest row sum of
+    2^-e A in [1/2, 1).  Scaling by a power of two is exact, so 2^k A lifts
+    to the same matrix."""
+    top = float(A.sum(axis=1).max())
+    B = np.ldexp(A, -math.frexp(top)[1]) if top > 0.0 else A.copy()
+    B.flat[::B.shape[0] + 1] += 1.0
+    return B
+
+
+def _squared_vector(B: np.ndarray, x: np.ndarray | None = None, zeros: bool = True):
+    """(v, squarings): the limit of B^n x for a lifted B (:func:`_lifted`)
+    and a non-negative start x (None: all ones), by repeated squaring.
+
+    Each square is rescaled by the power of two of its largest row sum, so
+    the iterates z_j = B^(2^j) x, each divided by its largest component,
+    are those of the unscaled powers.  It stops at the first squaring whose
+    change max|z_j - z_(j-1)| is at most _SQUARING_TOL and no larger than
+    the change before it (for j = 1, from x to z_0 = B x): a slow drift
+    between near-tied classes grows at each squaring.  Two products with
+    the settled power then give w = B^(2^(j+1)) x and u = B^(3 * 2^j) x.
+    z_j's transients shrink by about its change at each product, so a
+    live component, however small (the members of the blended retry have
+    some near 1e-24), holds its value from w to u; one that vanishes in
+    the limit keeps decaying, like a ratio to the power 2^j, or by 2/3 or
+    more on a Jordan chain.  The rule: a component of u at most 3/4 of its
+    value in w is 0.  v is u, its largest component 1.  ``zeros=False`` skips the rule, for B
+    irreducible, whose limit is positive: there a live component can
+    still be falling from a start x near the limit.
+    """
+    # The ufuncs' own reductions: the array methods add a Python wrapper
+    # to each of the loop's few-microsecond calls.
+    top, add = np.maximum.reduce, np.add.reduce
+    prev = add(B, 1) if x is None else B @ x
+    prev /= top(prev)
+    last = float(top(abs(prev - (1.0 if x is None else x / top(x)))))
+    for j in range(1, _MAX_SQUARINGS + 1):
+        B = B @ B
+        rows = add(B, 1)
+        largest = top(rows)
+        B *= math.ldexp(1.0, -math.frexp(largest)[1])
+        if x is None:
+            z = rows / largest
+        else:
+            z = B @ x
+            z /= top(z)
+        change = float(top(abs(z - prev)))
+        if change <= _SQUARING_TOL and change <= last:
+            w = B @ z
+            w /= top(w)
+            u = B @ w
+            u /= top(u)
+            if zeros:
+                u[u <= 0.75 * w] = 0.0
+            return u, j
+        prev, last = z, change
     raise PowerIterationError(
-        f"power method did not converge in {max_iters} iterations",
-        last_iterate=x, iterations=max_iters)
+        f"squaring did not settle in {_MAX_SQUARINGS} squarings "
+        f"(d={B.shape[0]}, last change {last:.3g})", last_iterate=prev / np.linalg.norm(prev))
 
 
 def _rho_from_vector(A: np.ndarray, v: np.ndarray) -> float:
@@ -318,17 +402,17 @@ def _classes(A: np.ndarray, S: np.ndarray, up: np.ndarray,
 
 
 def _class_eigen(A: np.ndarray, idx: np.ndarray, cfg: PowerConfig):
-    """(radius, Perron vector, power iterations) of the irreducible class
-    ``idx``."""
+    """(radius, Perron vector, power steps, squarings) of the irreducible
+    class ``idx``."""
     if idx.size == 1:
-        return float(A[idx[0], idx[0]]), np.ones(1), 0
+        return float(A[idx[0], idx[0]]), np.ones(1), 0, 0
     if idx.size <= _DENSE_ROWS:
         # The Perron root has the largest real part of all eigenvalues.
         w, V = np.linalg.eig(A[np.ix_(idx, idx)])
         j = int(np.argmax(w.real))
-        return float(w.real[j]), np.abs(V[:, j].real), 0
+        return float(w.real[j]), np.abs(V[:, j].real), 0, 0
     # Power iteration on the block plus I, run on all of A with the vector
-    # held at 0 off the block: no copy of the block.
+    # held at 0 off the block: no copy of the block unless it squares.
     off = np.ones(A.shape[0], dtype=bool)
     off[idx] = False
 
@@ -339,27 +423,25 @@ def _class_eigen(A: np.ndarray, idx: np.ndarray, cfg: PowerConfig):
         return y
 
     x0 = np.where(off, 0.0, 1.0 / np.sqrt(idx.size))
-    x, iters = _power_vector(apply, x0, cfg.eps, cfg.resolve_max_iters(idx.size))
-    return _rho_from_vector(A, x), x[idx], iters
+    v, iters, done = _power_vector(apply, x0, cfg.eps, cfg.resolve_max_iters(idx.size))
+    squarings = 0
+    if not done:
+        v[idx], squarings = _squared_vector(_lifted(A[np.ix_(idx, idx)]), v[idx], zeros=False)
+    return _rho_from_vector(A, v), v[idx], iters, squarings
 
 
 def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
                        cfg: PowerConfig):
-    """(v, iterations) of the selected vector of a reducible A from its
-    classes (``up`` and ``down`` as in :func:`_classes`).  v is None when
-    several basic classes share the top height, or when the power stage of
-    a large class exhausts its budget."""
+    """(v, power steps, squarings) of the selected vector of a reducible A
+    from its classes (``up`` and ``down`` as in :func:`_classes`).  v is
+    None when several basic classes share the top height."""
     d = A.shape[0]
     S = A > 0.0
     np.fill_diagonal(S, False)
     classes = _classes(A, S, up, down)
-    eigen, iters = [], 0
-    for idx in classes:
-        try:
-            eigen.append(_class_eigen(A, idx, cfg))
-        except PowerIterationError as exc:
-            return None, iters + exc.iterations
-        iters += eigen[-1][2]
+    eigen = [_class_eigen(A, idx, cfg) for idx in classes]
+    iters = sum(e[2] for e in eigen)
+    squarings = sum(e[3] for e in eigen)
     radii = np.array([e[0] for e in eigen])
     rho = float(np.max(radii))
     if rho == 0.0 and len(classes) == d:
@@ -371,7 +453,7 @@ def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
             iters += 1
             top = float(np.max(y))
             if top == 0.0:
-                return x, iters
+                return x, iters, squarings
             x = y / top
     basic = radii >= rho - _TIE * rho
     owner = np.empty(d, dtype=int)
@@ -383,7 +465,7 @@ def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
         height[c] = basic[c] + height[owner[S[idx].any(axis=0)]].max(initial=0)
     top = np.flatnonzero(basic & (height == height.max()))
     if top.size > 1:
-        return None, iters
+        return None, iters, squarings
     b = int(top[0])
     r_b = eigen[b][0]
     v = np.zeros(d)
@@ -397,7 +479,7 @@ def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
             v[idx] = rhs / (r_b - A[idx[0], idx[0]])
         else:
             v[idx] = np.linalg.solve(r_b * np.eye(idx.size) - A[np.ix_(idx, idx)], rhs)
-    return v, iters
+    return v, iters, squarings
 
 
 def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
@@ -408,57 +490,77 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
     it on A itself, the product the Collatz-Wielandt bounds divide.  The left
     eigenvector is the right one of the transpose: ``selected_eigenpair(A.T).v``.
 
-    ``Eigenpair.path`` names the path taken:
+    ``Eigenpair.path`` names the path taken (the module docstring gives
+    each in full):
 
-    * ``power`` for an irreducible A, tested by forward and backward
-      reachability from vertex 0, one matrix-vector product per step;
-    * ``structural`` for a reducible A.  Its classes (strongly connected
-      components, sinks first) give each a radius: the diagonal entry of a
-      singleton, a dense eigensolve of a block of at most 32 rows, power
-      iteration on a larger block.  Classes within 1e-9 relative of the
-      largest radius rho are basic.  Height is 1 for a basic class, else 0,
-      plus the largest height among the classes it points to.  rho = 0 gives
-      v proportional to A^h 1 for the largest h with A^h 1 != 0, and rho
-      exactly 0.0.  Otherwise the single basic class of top height takes its
-      Perron vector, each other class U of top height solves
-      (rho I - A_UU) v_U = A_U,rest v_rest sinks first, and every other
-      component is exactly 0;
-    * ``power`` again, on all of A + I, when several basic classes share the
-      top height or the power stage of a large class exhausts its budget.
+    * ``squaring`` for A of at most 64 rows.  A nilpotent A gets rho
+      exactly 0.0, and ``selected_eigenpair(2.0**k * A).v`` is bit-equal to
+      ``selected_eigenpair(A).v``.  One whose squaring does not settle
+      within 64 squarings takes the next two paths, like a larger A, and
+      counts the 64 in ``squarings``;
+    * ``power`` for a larger irreducible A, tested by forward and backward
+      reachability from vertex 0, and for a larger reducible A with several
+      basic classes of top height;
+    * ``structural`` for every other larger reducible A, from its strongly
+      connected classes: components on the classes below the top are
+      exactly 0, and a nilpotent A gets rho exactly 0.0.
+
+    A power stage that runs through ``config.max_iters`` steps continues by
+    squaring from its last iterate: on A + I the path is then ``squaring``,
+    on a class block it stays ``structural``.  ``Eigenpair.squarings``
+    counts the squarings, ``Eigenpair.power_iters`` the power steps.
 
     Parameters
     ----------
     A : array_like
         Square non-negative matrix.
     config : PowerConfig, optional
-        Convergence parameters; defaults to ``PowerConfig()``.
+        Power-stage parameters; defaults to ``PowerConfig()``.
 
     Raises
     ------
     PowerIterationError
-        If the power stage on A + I exhausts its iteration budget before
-        convergence; ``last_iterate`` is its last iterate.
+        If the squaring that continues a power stage past its budget does
+        not settle within 64 squarings (the 2^64-th power); the message
+        names d and the last change.
     """
     A = check_matrix(A)
     cfg = config or PowerConfig()
     d = A.shape[0]
-    v, iters = None, 0
+    v, iters, squarings = None, 0, 0
+    if d <= _SQUARING_ROWS:
+        try:
+            v, squarings = _squared_vector(_lifted(A))
+        except PowerIterationError:
+            # A slow drift between tied classes, such as a Jordan chain
+            # coupled at 1e-10 of its diagonal: the classes settle it.
+            squarings = _MAX_SQUARINGS
+        else:
+            v /= float(np.linalg.norm(v))
+            return Eigenpair(_rho_from_vector(A, v), v, 0, "squaring", squarings)
     everyone = np.ones(d, dtype=bool)
     up, down = _reach(A, 0, everyone), _reach(A.T, 0, everyone)
-    if not (up.all() and down.all()):
-        v, iters = _structural_vector(A, up, down, cfg)
-    path = "power" if v is None else "structural"
+    irreducible = bool(up.all() and down.all())
+    if not irreducible:
+        v, iters, more = _structural_vector(A, up, down, cfg)
+        squarings += more
+    path = "structural"
     if v is None:
         B = A.copy()
         B.flat[::d + 1] += 1.0   # A + I, without building I
-        v, k = _power_vector(lambda x: B @ x, np.full(d, 1.0 / np.sqrt(d)), cfg.eps,
-                             cfg.resolve_max_iters(d))
+        v, k, done = _power_vector(lambda x: B @ x, np.full(d, 1.0 / np.sqrt(d)), cfg.eps,
+                                   cfg.resolve_max_iters(d))
         iters += k
+        path = "power"
+        if not done:
+            v, more = _squared_vector(_lifted(A), v, zeros=not irreducible)
+            squarings += more
+            path = "squaring"
     # The iterate of a non-negative matrix from a positive start stays
     # non-negative; clip fp dust so downstream sign checks are exact.
     v = np.maximum(v, 0.0)
     v /= float(np.linalg.norm(v))
-    return Eigenpair(rho=_rho_from_vector(A, v), v=v, power_iters=iters, path=path)
+    return Eigenpair(_rho_from_vector(A, v), v, iters, path, squarings)
 
 
 def _row_ratios(v: np.ndarray, dots: np.ndarray, direction: str) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 from .linalg import (
     ZERO_TOL,
     PowerConfig,
-    PowerIterationError,
     check_count,
     check_matrix,
     check_vector,
@@ -119,13 +118,13 @@ class OptimizerConfig:
 class TraceRow:
     """One outer iteration: spectral radius, bounds, and what changed.
 
-    ``eigen_path`` says where the pass's eigenvector came from: ``power`` or
-    ``structural`` (``Eigenpair.path``), ``fallback`` (the last iterate of a
-    power stage that exhausted its budget) or ``hook`` (``eigenvector_fn``).
-    ``time_s`` is the whole pass; ``eigen_s`` and ``oracle_s`` are its parts
-    spent on the eigenvector and in the row oracle (both extremes).
-    ``power_iters`` is the pass's power iterations (``Eigenpair.power_iters``;
-    for a fallback, the exhausted budget; 0 for a hook).
+    ``eigen_path`` says where the pass's eigenvector came from:
+    ``squaring``, ``power`` or ``structural`` (``Eigenpair.path``) or
+    ``hook`` (``eigenvector_fn``).  ``time_s`` is the whole pass;
+    ``eigen_s`` and ``oracle_s`` are its parts spent on the eigenvector and
+    in the row oracle (both extremes).  ``power_iters`` and ``squarings``
+    are the pass's power steps and matrix squarings
+    (``Eigenpair.power_iters`` and ``Eigenpair.squarings``; 0 for a hook).
     """
 
     iteration: int
@@ -138,6 +137,7 @@ class TraceRow:
     eigen_s: float
     oracle_s: float
     power_iters: int
+    squarings: int
 
 
 @dataclass
@@ -209,27 +209,17 @@ def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
 
 
 def _eigen(A, cfg: OptimizerConfig, eigenvector_fn):
-    """(v, rho, eigen path, power iterations) of the current matrix."""
+    """(v, rho, eigen path, power steps, squarings) of the current matrix."""
     v = eigenvector_fn(A) if eigenvector_fn is not None else None
-    path, iters = "hook", 0
     if v is None:
-        try:
-            pair = selected_eigenpair(A, cfg.power)
-            return pair.v, pair.rho, pair.path, pair.power_iters
-        except PowerIterationError as exc:
-            # A near-tie between leading eigenvalues can exhaust the budget
-            # (the A + I shift makes tiny gaps excruciating).  The last
-            # iterate is an accurate direction long before the tolerance is
-            # met, and the two-sided bounds are valid for any positive
-            # vector, so the outer loop can continue honestly with it.
-            v = np.maximum(exc.last_iterate, 0.0)
-            path, iters = "fallback", exc.iterations
+        pair = selected_eigenpair(A, cfg.power)
+        return pair.v, pair.rho, pair.path, pair.power_iters, pair.squarings
     v = check_vector(v, A.shape[0])
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("eigenvector_fn returned a zero vector")
     v = v / nrm
-    return v, _rho_from_vector(A, v), path, iters
+    return v, _rho_from_vector(A, v), "hook", 0, 0
 
 
 def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> OptimizationResult:
@@ -246,7 +236,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     status = None
     for k in range(1, cfg.max_outer_iters + 1):
         t0 = time.perf_counter()
-        v, rho, path, iters = _eigen(A, cfg, eigenvector_fn)
+        v, rho, path, iters, squarings = _eigen(A, cfg, eigenvector_fn)
         t1 = time.perf_counter()
         up, down = extremes(v)
         t2 = time.perf_counter()
@@ -268,7 +258,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
             A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
                                           cfg.delta, step_kind)
         trace.append(TraceRow(k, rho, s, t, changed, time.perf_counter() - t0, path,
-                              t1 - t0, t2 - t1, iters))
+                              t1 - t0, t2 - t1, iters, squarings))
         if cycled:
             status = STATUS_CYCLE
             break
@@ -334,7 +324,7 @@ def _drive(family: ProductFamily, cfg: OptimizerConfig, eigenvector_fn=None,
     # Pull back: the family's best member against the retry's eigenvector.
     # Only a maximization stalls as reducible, so the larger radius wins.
     X = family.extremes(retry.eigenvector)[0]
-    v, rho, _, _ = _eigen(X, cfg, None)
+    v, rho, *_ = _eigen(X, cfg, None)
     if rho > res.rho:
         up, down = family.extremes(v)
         res.matrix = X

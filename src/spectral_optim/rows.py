@@ -16,15 +16,17 @@ where they are of one such kind, chosen by set type when the family is
 made:
 
 * a family of L1 balls copies its centers into one (d, d) array and its
-  radii into a column;
+  radii into a column (``apps.stabilization_family`` makes its one copy of
+  A that array, with the centers its rows);
 * a family of degree sets keeps its degrees as two columns, one per sense;
 * a family from ``gen.generate_random_family`` scans the (d, N, d) block
   whose slices are its finite sets, which the generator hands over with
-  the family.
+  the family.  Its copies and pickles are rebuilt from the block, so they
+  scan it too.
 
 Every other family (mixed set types, subclasses, finite sets built by hand
-or read from a file, copies and pickles of a generated family) runs the
-kernels one set at a time, with the same results to the last bit.  A family
+or read from a file) runs the kernels one set at a time, with the same
+results to the last bit.  A family
 of L1 balls also tests a matrix's membership in one pass.  The kernels are
 exact:
 
@@ -397,6 +399,9 @@ class _FiniteBatch:
     def __init__(self, block: np.ndarray):
         self.block = block
 
+    def __len__(self):
+        return self.block.shape[0]
+
     def extremes(self, obj):
         b = self.block
         dots = b @ obj.lifted()
@@ -412,6 +417,9 @@ class _L1Batch:
 
     def __init__(self, center: np.ndarray, radius: np.ndarray):
         self.center, self.radius = center, radius
+
+    def __len__(self):
+        return self.center.shape[0]
 
     def extremes(self, obj):
         c, r, v = self.center, self.radius, obj.v
@@ -455,6 +463,9 @@ class _DegreeBatch:
         self.sorts_up, self.sorts_down = min(n_up) < d, max(n_down) > 0
         self.n_up, self.n_down = np.array(n_up)[:, None], np.array(n_down)[:, None]
 
+    def __len__(self):
+        return self.n_up.shape[0]
+
     def extremes(self, obj):
         shape = (self.n_up.shape[0], obj.v.shape[0])
         up = (np.less(_ranks(obj.descending()), self.n_up, out=np.empty(shape))
@@ -482,9 +493,16 @@ def _finite_family(block: np.ndarray) -> ProductFamily:
     """The family of the finite sets block[0], ..., block[d-1] of one
     (d, N, d) float64 array, answered by one scan of the block.  The sets
     are views of the block, so the scan reads their own rows."""
-    family = ProductFamily(tuple(FiniteSet(rows) for rows in block))
-    object.__setattr__(family, "_batch", _FiniteBatch(block))
-    return family
+    return ProductFamily(tuple(FiniteSet(rows) for rows in block),
+                         _batch=_FiniteBatch(block))
+
+
+def _l1_family(C: np.ndarray, radius: float) -> ProductFamily:
+    """The family of the L1 balls of one radius around the rows of the
+    (d, d) float64 array C, answered by one batch over C itself: the
+    balls' centers are views of it."""
+    sets = tuple(L1Ball(c, radius) for c in C)
+    return ProductFamily(sets, _batch=_L1Batch(C, np.full((C.shape[0], 1), sets[0].radius)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,8 +510,10 @@ class ProductFamily:
     """Square-matrix family with one independent row uncertainty set per row."""
 
     sets: tuple[RowSet, ...]
+    # One batch kernel for the whole family, found from the sets unless a
+    # private constructor (_finite_family, _l1_family) hands one over.
     _batch: _FiniteBatch | _L1Batch | _DegreeBatch | None = field(
-        default=None, init=False, repr=False)
+        default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -508,12 +528,18 @@ class ProductFamily:
                     f"sets[{i}] has row length {rs.d}, expected {d} "
                     "(one set per row of a square matrix)")
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "_batch", _batch_of(sets))
+        if self._batch is None:
+            object.__setattr__(self, "_batch", _batch_of(sets))
+        elif len(self._batch) != d:
+            raise ValueError(f"the batch answers {len(self._batch)} rows, expected {d}")
 
     def __reduce__(self):
-        # Copies and pickles rebuild the family from its sets.  Pickling the
-        # fields would write a generated family's block beside the sets'
-        # views of it: 32 MB in place of 16 MB at d=200, N=50.
+        # Copies and pickles rebuild the family from its one block when it
+        # has one, so they keep the block scan, else from its sets.
+        # Pickling the fields would write a generated family's block beside
+        # the sets' views of it: 32 MB in place of 16 MB at d=200, N=50.
+        if isinstance(self._batch, _FiniteBatch):
+            return _finite_family, (self._batch.block,)
         return ProductFamily, (self.sets,)
 
     @property

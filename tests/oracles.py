@@ -13,6 +13,32 @@ import itertools
 import numpy as np
 
 # ---------------------------------------------------------------------------
+# matrices above the squaring limit, to reach the power and structural paths
+
+
+def padded(A) -> np.ndarray:
+    """A in the leading block of a zero matrix one row above the squaring
+    limit: the same classes plus zero singletons, so the structural path."""
+    from spectral_optim.linalg import _SQUARING_ROWS
+
+    A = np.asarray(A, dtype=float)
+    out = np.zeros((_SQUARING_ROWS + 1, _SQUARING_ROWS + 1))
+    out[:A.shape[0], :A.shape[0]] = A
+    return out
+
+
+def inflated(A) -> np.ndarray:
+    """A (x) J / n, J the n x n all-ones matrix, with n the least that puts
+    it above the squaring limit: irreducible when A is, with the same
+    nonzero eigenvalues and the selected vector v (x) 1."""
+    from spectral_optim.linalg import _SQUARING_ROWS
+
+    A = np.asarray(A, dtype=float)
+    n = _SQUARING_ROWS // A.shape[0] + 1
+    return np.kron(A, np.full((n, n), 1.0 / n))
+
+
+# ---------------------------------------------------------------------------
 # generic spectral radius via the dense eigensolver
 
 

@@ -262,6 +262,9 @@ def _assert_same_result(got, want):
 def test_stabilization_family_does_not_alias_the_callers_matrix():
     A = demo.unstable_demo_matrix()
     family = stabilization_family(A, 0.5)
+    # One copy of A: the centers are views of the batch's array, none of A.
+    assert not any(np.shares_memory(rs.center, A) for rs in family.sets)
+    assert all(np.shares_memory(rs.center, family._batch.center) for rs in family.sets)
     member = A + 0.05
     v = np.arange(1.0, 11.0)
     before = family.extremes(v)

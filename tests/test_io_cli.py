@@ -132,23 +132,25 @@ def test_matrix_round_trip(tmp_path):
 
 def test_trace_csv_columns_and_inf_encoding(tmp_path):
     rows = [
-        TraceRow(1, 2.0, float("inf"), 0.5, (0, 2), 0.001, "structural", 0.0002, 0.0005, 0),
-        TraceRow(2, 2.5, 3.0, 1.0, (), 0.002, "power", 0.00125, 0.0, 37),
+        TraceRow(1, 2.0, float("inf"), 0.5, (0, 2), 0.001, "structural", 0.0002, 0.0005, 0, 0),
+        TraceRow(2, 2.5, 3.0, 1.0, (), 0.002, "power", 0.00125, 0.0, 37, 0),
+        TraceRow(3, 2.5, 2.5, 2.5, (), 0.001, "squaring", 0.0005, 0.0, 0, 9),
     ]
     path = tmp_path / "trace.csv"
     write_trace_csv(rows, path)
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert parsed[0] == ["iter", "rho", "s_bound", "t_bound", "rows_changed", "time_s",
-                         "eigen_path", "eigen_s", "oracle_s", "power_iters"]
+                         "eigen_path", "eigen_s", "oracle_s", "power_iters", "squarings"]
     assert parsed[1][0] == "1"
     assert parsed[1][1] == "2.0"
     assert parsed[1][2] == "inf" and float(parsed[1][2]) == float("inf")
     assert parsed[1][4] == "0;2"
     assert parsed[2][4] == ""
-    assert [row[6] for row in parsed[1:]] == ["structural", "power"]
-    assert [row[7:9] for row in parsed[1:]] == [["0.0002", "0.0005"], ["0.00125", "0.0"]]
-    assert [row[9] for row in parsed[1:]] == ["0", "37"]
+    assert [row[6] for row in parsed[1:]] == ["structural", "power", "squaring"]
+    assert [row[7:9] for row in parsed[1:]] == [["0.0002", "0.0005"], ["0.00125", "0.0"],
+                                                 ["0.0005", "0.0"]]
+    assert [row[9:] for row in parsed[1:]] == [["0", "0"], ["37", "0"], ["0", "9"]]
 
 
 # ----------------------------------------------------------------------- CLI

@@ -8,10 +8,12 @@ from spectral_optim import (
     PowerIterationError,
     ProductFamily,
     bounds,
+    generate_random_family,
     selected_eigenpair,
 )
 from spectral_optim.linalg import (
     ZERO_TOL,
+    _SQUARING_ROWS,
     _bounds,
     _row_ratios,
     check_matrix,
@@ -19,10 +21,13 @@ from spectral_optim.linalg import (
 )
 
 from oracles import (
+    blockwise_rho,
     closure_classes,
     eig_rho,
     fixture_rows,
+    inflated,
     lower_from_dots_loop,
+    padded,
     perturbed_leading_vector,
     row_ratios_loop,
     upper_from_dots_loop,
@@ -48,7 +53,7 @@ def test_identity_eigenpair():
     pair = selected_eigenpair(np.eye(3), TIGHT)
     assert pair.rho == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(pair.v, np.full(3, 1.0 / np.sqrt(3)), atol=1e-12)
-    assert pair.power_iters == 1
+    assert (pair.path, pair.power_iters, pair.squarings) == ("squaring", 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -244,12 +249,46 @@ def test_bounds_sandwich_on_fixture_iterates():
         assert 12.0 <= s + 1e-9  # the family maximum stays below every s
 
 
-def test_nonconvergence_carries_last_iterate():
-    with pytest.raises(PowerIterationError, match="did not converge") as err:
-        selected_eigenpair(A2, PowerConfig(eps=1e-15, max_iters=3))
-    assert err.value.iterations == 3
-    assert err.value.last_iterate.shape == (3,)
+@pytest.mark.parametrize("coupling", [1e-7, 1e-10, 1e-13])
+def test_a_squaring_that_does_not_settle_hands_over_to_the_classes(coupling):
+    # A Jordan chain coupled at 1e-10 of its diagonal: the upper component
+    # decays like 1 / (1 + 3e-11 n), which needs n far beyond 2^64 to reach
+    # 1e-12, and each squaring's change grows, from below 1e-12 at 1e-13.
+    # The classes give the limit exactly, as they do above the squaring
+    # limit.
+    pair = selected_eigenpair(np.array([[1.0, coupling], [0.0, 1.0]]))
+    assert (pair.path, pair.squarings, pair.power_iters) == ("structural", 64, 0)
+    assert pair.rho == 1.0
+    assert pair.v.tolist() == [1.0, 0.0]
+
+
+def test_nonconvergence_carries_last_iterate(monkeypatch):
+    # No input reaches the cap of the squaring that continues a power
+    # stage: one squaring of B^(2^j) resolves any gap that the earlier
+    # ones left.  A cap of one squaring shows the error it raises.
+    import spectral_optim.linalg as linalg_module
+
+    monkeypatch.setattr(linalg_module, "_MAX_SQUARINGS", 1)
+    slow = inflated([[1.0, 2.0], [1e-3, 1.0]])
+    with pytest.raises(PowerIterationError,
+                       match=r"did not settle in 1 squarings \(d=66, last change") as err:
+        selected_eigenpair(slow, PowerConfig(max_iters=3))
+    assert err.value.last_iterate.shape == (66,)
     assert np.all(np.isfinite(err.value.last_iterate))
+
+
+def test_power_stage_past_its_budget_squares_on():
+    # Eigenvalues 1 +- 0.045: hundreds of power steps at eps 1e-15, not 3.
+    slow = inflated([[1.0, 2.0], [1e-3, 1.0]])
+    pair = selected_eigenpair(slow, PowerConfig(eps=1e-15, max_iters=3))
+    assert (pair.path, pair.power_iters) == ("squaring", 3)
+    assert pair.squarings > 0
+    ref = selected_eigenpair(slow, PowerConfig(eps=1e-14, max_iters=10_000))
+    assert ref.path == "power" and ref.power_iters > 100
+    # The default budget, 3 steps per row, squares too.
+    assert selected_eigenpair(slow).path == "squaring"
+    assert np.max(np.abs(pair.v - ref.v)) <= 1e-12
+    assert pair.rho == pytest.approx(eig_rho(slow), rel=1e-12)
 
 
 _ENTRY_CHECKS = (
@@ -314,19 +353,26 @@ def test_power_config_rejects_a_non_finite_eps():
         PowerConfig(eps=np.inf)
 
 
-# ------------------------------------------------------------ structural path
+# ----------------------------------------------- squaring and structural paths
 
 def test_irreducible_matrices_take_the_power_path():
     rng = np.random.default_rng(21)
     for A in (A1, np.array([[0.0, 1.0], [1.0, 0.0]]), rng.random((6, 6)) + 0.01):
-        assert selected_eigenpair(A).path == "power"
+        small = selected_eigenpair(A)
+        assert small.path == "squaring" and small.power_iters == 0
+        big = selected_eigenpair(inflated(A), TIGHT)
+        assert big.path == "power" and big.squarings == 0
+        n = big.v.size // A.shape[0]
+        assert np.max(np.abs(big.v - np.repeat(small.v, n) / np.sqrt(n))) <= 1e-11
+        assert big.rho == pytest.approx(small.rho, rel=1e-11)
 
 
 def test_jordan_chain_selects_the_upper_class():
-    # rho has index 2: power iteration reaches v = (1, 0) only at rate 1/k
-    # and used to raise PowerIterationError.
+    # rho has index 2: power iteration reaches v = (1, 0) only at rate 1/k.
+    # Squaring reaches k = 2^43, and the lower component, halving at each
+    # squaring, is exactly 0.
     pair = selected_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert pair.path == "structural"
+    assert pair.path == "squaring"
     assert pair.rho == 1.0
     assert pair.v.tolist() == [1.0, 0.0]
 
@@ -334,9 +380,20 @@ def test_jordan_chain_selects_the_upper_class():
 @pytest.mark.parametrize("scale", [1.0, 1e-9])
 def test_nilpotent_matrix_has_radius_exactly_zero(scale):
     pair = selected_eigenpair(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert pair.path == "structural"
+    assert pair.path == "squaring"
     assert pair.rho == 0.0
     assert pair.v.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_structural_path_on_jordan_and_nilpotent_blocks(scale):
+    # The same two matrices above the squaring limit: the classes give the
+    # limit exactly.
+    for A, rho in (([[1.0, 1.0], [0.0, 1.0]], scale), ([[0.0, 1.0], [0.0, 0.0]], 0.0)):
+        pair = selected_eigenpair(padded(scale * np.array(A)))
+        assert pair.path == "structural"
+        assert pair.rho == rho
+        assert pair.v.tolist() == [1.0] + [0.0] * _SQUARING_ROWS
 
 
 def test_zero_matrix_keeps_the_all_ones_direction():
@@ -345,13 +402,28 @@ def test_zero_matrix_keeps_the_all_ones_direction():
     assert np.allclose(pair.v, unit((1.0, 1.0, 1.0)), atol=1e-15)
 
 
+def test_all_ones_matrix_has_radius_exactly_four():
+    # Power-of-two scaling keeps the all-ones vector exact; scaling by the
+    # largest entry gave 4.000000000000001.
+    pair = selected_eigenpair(np.ones((4, 4)))
+    assert pair.rho == 4.0
+    assert pair.v.tolist() == [0.5] * 4
+
+
 def test_chain_of_basic_classes_solves_upstream_components():
     # Classes {2} (basic, height 1), {1} (basic, height 2) and {0} (radius
     # 0.5, height 2): v_1 = 1, v_2 = 0 and (1 - 0.5) v_0 = v_1.
-    pair = selected_eigenpair(np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+    A = np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    pair = selected_eigenpair(padded(A))
     assert pair.path == "structural"
-    assert np.allclose(pair.v, unit((2.0, 1.0, 0.0)), atol=1e-15)
-    assert pair.v[2] == 0.0
+    assert np.allclose(pair.v[:3], unit((2.0, 1.0, 0.0)), atol=1e-15)
+    assert not np.any(pair.v[2:])
+    # Squaring meets the same limit along the Jordan chain {1} -> {2}, at
+    # the 1/k rate on the components it keeps.
+    small = selected_eigenpair(A)
+    assert small.path == "squaring"
+    assert np.allclose(small.v, unit((2.0, 1.0, 0.0)), atol=1e-12)
+    assert small.v[2] == 0.0
 
 
 def _two_blocks(first, second):
@@ -369,15 +441,32 @@ def test_tied_blocks_follow_the_tie_rule():
     # height, and the power stage on A + I decides.
     for factor in (1.0, 1.0 + 1e-12):
         for A in (_two_blocks(B, factor * B), _two_blocks(factor * B, B)):
-            pair = selected_eigenpair(A)
+            pair = selected_eigenpair(padded(A))
             assert pair.path == "power"
             assert np.allclose(pair.v[[0, 2]], pair.v[[1, 3]], atol=1e-9)
     # Outside the tie the larger block alone is basic; the other is exactly 0.
-    pair = selected_eigenpair(_two_blocks(B, (1.0 + 1e-6) * B))
+    pair = selected_eigenpair(padded(_two_blocks(B, (1.0 + 1e-6) * B)))
     assert pair.path == "structural"
     assert pair.v[0] == pair.v[2] == 0.0
-    swapped = selected_eigenpair(_two_blocks((1.0 + 1e-6) * B, B))
+    swapped = selected_eigenpair(padded(_two_blocks((1.0 + 1e-6) * B, B)))
     assert np.array_equal(swapped.v[[0, 2, 1, 3]], pair.v[[1, 3, 0, 2]])
+
+
+def test_squaring_separates_near_tied_blocks():
+    # Squaring takes the limit itself: an exact tie keeps both blocks
+    # equal, and any gap it can resolve within 64 squarings (1e-12 takes
+    # 48) leaves the larger block alone, the other exactly 0.  The drift
+    # between the blocks grows at each squaring, so it never stops early.
+    B = np.array([[1.0, 2.0], [3.0, 1.0]])
+    tie = selected_eigenpair(_two_blocks(B, B))
+    assert np.array_equal(tie.v[[0, 2]], tie.v[[1, 3]])
+    for factor in (1.0 + 1e-12, 1.0 + 1e-6):
+        pair = selected_eigenpair(_two_blocks(B, factor * B))
+        assert pair.path == "squaring"
+        assert pair.v[0] == pair.v[2] == 0.0
+        assert np.allclose(pair.v[[1, 3]], tie.v[[1, 3]] * np.sqrt(2.0), atol=1e-12)
+        swapped = selected_eigenpair(_two_blocks(factor * B, B))
+        assert np.array_equal(swapped.v[[0, 2, 1, 3]], pair.v[[1, 3, 0, 2]])
 
 
 def _one_basic_class(rng):
@@ -413,9 +502,11 @@ def test_structural_vector_property():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         A, classes, b = _one_basic_class(rng)
-        pair = selected_eigenpair(A)
-        v, rho = pair.v, pair.rho
+        d = A.shape[0]
+        pair = selected_eigenpair(padded(A))
+        v, rho = pair.v[:d], pair.rho
         assert pair.path == "structural"
+        assert not np.any(pair.v[d:])
         assert np.all(v >= 0.0)
         assert np.max(np.abs(A @ v - rho * v)) <= 1e-12 * rho
         # Height 1 on the classes with access to the basic one, else 0.
@@ -427,26 +518,34 @@ def test_structural_vector_property():
         for c, idx in enumerate(classes):
             assert np.all(v[idx] == 0.0) if c not in reach else np.all(v[idx] > 0.0)
         assert np.linalg.norm(v - perturbed_leading_vector(A)) <= 1e-6
+        # Squaring the small matrix meets the same vector, zeros included.
+        small = selected_eigenpair(A)
+        assert small.path == "squaring"
+        assert np.array_equal(small.v == 0.0, v == 0.0)
+        assert np.max(np.abs(small.v - v)) <= 1e-12
 
 
 def test_large_class_runs_the_power_stage_on_its_block():
-    # A 40-row class (above the dense limit) between an upstream and a
+    # A 70-row class (above the dense limit) between an upstream and a
     # downstream singleton.
     rng = np.random.default_rng(7)
-    A = np.zeros((42, 42))
-    A[1:41, 1:41] = rng.random((40, 40))
+    A = np.zeros((72, 72))
+    A[1:71, 1:71] = rng.random((70, 70))
     A[0, 0], A[0, 5] = 3.0, 1.0
-    A[41, 41], A[7, 41] = 2.0, 1.0
+    A[71, 71], A[7, 71] = 2.0, 1.0
     pair = selected_eigenpair(A)
     assert pair.path == "structural"
-    assert pair.power_iters > 0
-    assert pair.v[41] == 0.0 and np.all(pair.v[:41] > 0.0)
+    assert pair.power_iters > 0 and pair.squarings == 0
+    assert pair.v[71] == 0.0 and np.all(pair.v[:71] > 0.0)
     assert np.max(np.abs(A @ pair.v - pair.rho * pair.v)) <= 1e-8 * pair.rho
     assert np.linalg.norm(pair.v - perturbed_leading_vector(A)) <= 1e-6
-    # A block out of budget hands over to the power stage on all of A + I.
-    with pytest.raises(PowerIterationError) as err:
-        selected_eigenpair(A, PowerConfig(max_iters=2))
-    assert err.value.last_iterate.shape == (42,)
+    # A block past its budget squares on from its last iterate.
+    short = selected_eigenpair(A, PowerConfig(max_iters=2))
+    assert (short.path, short.power_iters) == ("structural", 2)
+    assert short.squarings > 0
+    # The block's limit is positive, so no component of it is set to 0.
+    assert short.v[71] == 0.0 and np.all(short.v[:71] > 0.0)
+    assert np.max(np.abs(short.v - pair.v)) <= 1e-8
 
 
 def test_classes_match_the_closure_oracle_sinks_first():
@@ -473,3 +572,79 @@ def test_classes_match_the_closure_oracle_sinks_first():
             position[idx] = c
         rows, cols = np.nonzero(A)
         assert np.all(position[cols] <= position[rows])
+
+
+# ------------------------------------------------------------ squaring path
+
+def _perron(A) -> np.ndarray:
+    """Unit Perron vector of an irreducible A from the dense eigensolver."""
+    w, V = np.linalg.eig(A)
+    return unit(np.abs(V[:, np.argmax(w.real)].real))
+
+
+def _squaring_cases(rng):
+    """(kind, A, the selected vector or None to take the structural path's
+    on the padded A) for small matrices of every structure."""
+    for _ in range(40):
+        d = int(rng.integers(2, 12))
+        A = rng.random((d, d)) * (rng.random((d, d)) < 0.3)
+        A[np.arange(d), (np.arange(d) + 1) % d] += 0.5
+        yield "irreducible", A, _perron(A)
+    for _ in range(40):
+        d = int(rng.integers(2, 30))
+        A = rng.random((d, d)) * (rng.random((d, d)) < 0.15)
+        if blockwise_rho(A) > 0.0:
+            yield "reducible", A, None
+    for _ in range(20):
+        # Equal diagonal blocks coupled along a chain, shuffled: one basic
+        # class per block, a Jordan chain of length m.
+        n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        A = np.kron(np.eye(m), rng.random((n, n)) + 0.1)
+        for i in range(m - 1):
+            A[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = rng.random((n, n))
+        perm = rng.permutation(n * m)
+        yield "jordan", A[np.ix_(perm, perm)], None
+    for _ in range(10):
+        block = rng.random((int(rng.integers(1, 4)),) * 2) + 0.1
+        yield "tie", np.kron(np.eye(2), block), np.tile(_perron(block), 2) / np.sqrt(2.0)
+        near = np.kron(np.diag([1.0, 1.0 + 1e-9]), block)
+        yield "near tie", near, np.concatenate([0.0 * block[0], _perron(block)])
+    for _ in range(10):
+        d = int(rng.integers(2, 10))
+        A = np.triu(rng.random((d, d)) * (rng.random((d, d)) < 0.5), 1)
+        x = np.ones(d)
+        while np.any(A @ x):
+            x = A @ x / np.max(A @ x)
+        yield "nilpotent", A, unit(x)
+    yield "identity", np.eye(5), np.full(5, 1.0 / np.sqrt(5.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_squaring_matches_the_block_radius_and_the_dense_eigenvectors(scale):
+    rng = np.random.default_rng(2026)
+    for kind, A, want in _squaring_cases(rng):
+        A = scale * A
+        pair = selected_eigenpair(A)
+        assert pair.path == "squaring", kind
+        ref = blockwise_rho(A)
+        assert abs(pair.rho - ref) <= 1e-12 * max(scale, ref), kind
+        if ref == 0.0:
+            assert pair.rho == 0.0
+        assert np.max(np.abs(A @ pair.v - pair.rho * pair.v)) <= 1e-12 * max(scale, ref), kind
+        if want is None:
+            want = selected_eigenpair(padded(A)).v[:A.shape[0]]
+        assert np.array_equal(pair.v == 0.0, want == 0.0), kind
+        assert np.max(np.abs(pair.v - want)) <= 1e-11, kind
+
+
+def test_squaring_is_exactly_scale_invariant():
+    # 2^k A lifts to the same matrix as A, so the vector is the same to the
+    # last bit and rho, read off 2^k A, scales exactly.
+    for t in range(0, 500, 20):
+        family = generate_random_family(2 + t % 29, 1 + t % 3, (0.05, 0.2), seed=9000 + t)
+        for A in family.extremes(np.ones(family.d)):
+            pair = selected_eigenpair(A)
+            for k in range(-40, 41):
+                scaled = selected_eigenpair(2.0 ** k * A)
+                assert scaled.v.tobytes() == pair.v.tobytes()
+                assert scaled.rho == 2.0 ** k * pair.rho

@@ -11,9 +11,16 @@ eigendecomposition/enumeration oracles in oracles.py, then frozen.
 import numpy as np
 import pytest
 
-from oracles import blockwise_rho, brute_family_optimum, eig_rho, fixture_rows
+from oracles import (
+    blockwise_rho,
+    brute_family_optimum,
+    eig_rho,
+    fixture_rows,
+    inflated,
+    padded,
+)
 
-from spectral_optim.linalg import PowerConfig
+from spectral_optim.linalg import _SQUARING_ROWS, PowerConfig
 from spectral_optim.optimize import (
     OptimizerConfig,
     linear_rate_bound,
@@ -38,6 +45,11 @@ OPTIMUM = np.array([[12.0, 0.0, 0.0],
 
 def _finite_family(sets):
     return ProductFamily(tuple(FiniteSet(np.asarray(rows, dtype=float)) for rows in sets))
+
+
+def _member(M):
+    """The one-member family {M}."""
+    return _finite_family([[row] for row in np.asarray(M, dtype=float)])
 
 
 def _random_finite_family(rng, d, n, density=0.6):
@@ -317,6 +329,25 @@ def test_greedy_without_hook_escapes_the_trap():
     assert res.iterations == 4
 
 
+def test_tiny_scale_eigen_stage_reads_the_true_radius():
+    # Every row times 1e-12: A + I is I to within 1e-11, so a power stage
+    # on it used to stop after one step and report rho 1.5e-11 for max,
+    # above the family's maximum.  Squaring lifts A by a power of two first.
+    # The absolute delta (1e-10) still exceeds every row gain, so the run
+    # stops after one pass.
+    family = ProductFamily(tuple(FiniteSet(rs.rows * 1e-12)
+                                 for rs in demo.cycling_family().sets))
+    rows = [rs.rows for rs in family.sets]
+    for direction in ("max", "min"):
+        res = optimize(family, OptimizerConfig(direction=direction))
+        assert [(r.eigen_path, r.power_iters) for r in res.trace] == [("squaring", 0)]
+        assert res.trace[0].squarings > 1
+        assert res.rho == pytest.approx(eig_rho(res.matrix), rel=1e-12)
+        best = brute_family_optimum(rows, direction)[1]
+        t, s = res.bounds
+        assert (s >= best * (1 - 1e-12)) if direction == "max" else (t <= best * (1 + 1e-12))
+
+
 # ------------------------------------------------------------------ statuses
 
 def test_max_iters_status_reports_last_iterate():
@@ -380,14 +411,32 @@ def test_reducible_retry_through_an_l1_ball_returns_a_family_member():
     res = optimize(fam, OptimizerConfig(power=PowerConfig(eps=1e-13)),
                    initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert res.status == "reducible-detected"
-    assert res.rho == 3.0
+    # The squared vector of [[2, 0.5], [0, 3]] is (1, 2) / sqrt(5) to the
+    # last bit or two, so rho is 3 to within one ulp.
+    assert abs(res.rho - 3.0) <= np.spacing(3.0)
+    np.testing.assert_allclose(res.eigenvector, np.array([1.0, 2.0]) / np.sqrt(5.0),
+                               rtol=0, atol=1e-15)
     assert fam.contains_matrix(res.matrix, 0.0)
+    # Above the squaring limit the structural path solves the classes of
+    # [[2, 0.5], [0, 3]] exactly, and rho is exactly 3.
+    d = _SQUARING_ROWS + 1
+    big = ProductFamily((
+        L1Ball(padded([[2.0]])[0], 0.5),
+        FiniteSet(padded([[0.0, 0.0], [0.0, 3.0]])[:2]),
+    ) + (FiniteSet(np.zeros((1, d))),) * (d - 2))
+    res = optimize(big, OptimizerConfig(power=PowerConfig(eps=1e-13)),
+                   initial_matrix=padded([[2.0]]))
+    assert res.status == "reducible-detected"
+    assert {r.eigen_path for r in res.trace} == {"structural"}
+    assert res.rho == 3.0
+    assert res.eigenvector[:2].tolist() == (np.array([1.0, 2.0]) / np.sqrt(5.0)).tolist()
+    assert big.contains_matrix(res.matrix, 0.0)
 
 
 def test_reducible_retry_survives_a_small_power_budget():
     # The blended retry's members are irreducible and need far more than 60
-    # power iterations at this eps; the retry's eigenpair falls back to the
-    # last iterate like the main loop instead of raising PowerIterationError.
+    # power iterations at this eps; the 2 x 2 members square instead, so the
+    # budget does not enter and no pass ends on an unconverged iterate.
     fam = _finite_family([
         [[2.0, 0.0]],
         [[0.0, 0.0], [0.0, 2.5]],
@@ -395,7 +444,7 @@ def test_reducible_retry_survives_a_small_power_budget():
     cfg = OptimizerConfig(power=PowerConfig(eps=1e-13, max_iters=60))
     res = optimize(fam, cfg, initial_matrix=np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert res.status == "reducible-detected"
-    assert "fallback" in {r.eigen_path for r in res.perturbed_result.trace}
+    assert {r.eigen_path for r in res.perturbed_result.trace} == {"squaring"}
     np.testing.assert_allclose(res.matrix, [[2.0, 0.0], [0.0, 2.5]], atol=1e-12)
     assert res.rho == pytest.approx(2.5, abs=1e-6)
     t, s = res.bounds
@@ -420,14 +469,21 @@ def test_reducible_optima_report_their_block_radius(seed, direction):
 
 # ---------------------------------------------------------- traces, recording
 
+# Eigenvalues 1 +- 0.045: hundreds of power steps, not three, and more
+# than the default budget of the inflated 66 x 66 version.
+SLOW = np.array([[1.0, 2.0], [1e-3, 1.0]])
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+LONG = OptimizerConfig(power=PowerConfig(max_iters=10_000))
+
+
 def test_trace_names_the_eigen_path():
-    reducible = _finite_family([[[1.0, 1.0]], [[0.0, 1.0]]])
-    assert [r.eigen_path for r in optimize(reducible).trace] == ["structural"]
-    # Eigenvalues 1 +- 0.045: hundreds of power steps, not three.
-    slow = _finite_family([[[1.0, 2.0]], [[1e-3, 1.0]]])
+    assert [r.eigen_path for r in optimize(_member(JORDAN)).trace] == ["squaring"]
+    assert [r.eigen_path for r in optimize(_member(SLOW)).trace] == ["squaring"]
+    assert [r.eigen_path for r in optimize(_member(padded(JORDAN))).trace] == ["structural"]
+    slow = _member(inflated(SLOW))
     res = optimize(slow, OptimizerConfig(power=PowerConfig(max_iters=3)))
-    assert [r.eigen_path for r in res.trace] == ["fallback"]
-    res = optimize(slow)
+    assert [r.eigen_path for r in res.trace] == ["squaring"]
+    res = optimize(slow, LONG)
     assert [r.eigen_path for r in res.trace] == ["power"]
     hooked = optimize(demo.cycling_family(), OptimizerConfig(method="greedy"),
                       eigenvector_fn=lambda A: np.ones(3))
@@ -437,17 +493,22 @@ def test_trace_names_the_eigen_path():
 def test_trace_counts_the_power_iterations_of_each_pass():
     from spectral_optim.linalg import selected_eigenpair
 
-    slow = _finite_family([[[1.0, 2.0]], [[1e-3, 1.0]]])
-    res = optimize(slow)
-    want = selected_eigenpair(res.matrix).power_iters
-    assert want > 100 and [r.power_iters for r in res.trace] == [want]
+    slow = _member(inflated(SLOW))
+    res = optimize(slow, LONG)
+    want = selected_eigenpair(res.matrix, LONG.power).power_iters
+    assert want > 100 and [(r.power_iters, r.squarings) for r in res.trace] == [(want, 0)]
     res = optimize(slow, OptimizerConfig(power=PowerConfig(max_iters=3)))
-    assert [(r.eigen_path, r.power_iters) for r in res.trace] == [("fallback", 3)]
-    reducible = _finite_family([[[1.0, 1.0]], [[0.0, 1.0]]])
-    assert [r.power_iters for r in optimize(reducible).trace] == [0]
+    want = selected_eigenpair(res.matrix, PowerConfig(max_iters=3)).squarings
+    assert want > 0
+    assert [(r.power_iters, r.squarings) for r in res.trace] == [(3, want)]
+    small = optimize(_member(SLOW))
+    want = selected_eigenpair(SLOW).squarings
+    assert want > 0 and [(r.power_iters, r.squarings) for r in small.trace] == [(0, want)]
+    structural = optimize(_member(padded(JORDAN)))
+    assert [(r.power_iters, r.squarings) for r in structural.trace] == [(0, 0)]
     hooked = optimize(demo.cycling_family(), OptimizerConfig(method="greedy"),
                       eigenvector_fn=lambda A: np.ones(3))
-    assert {r.power_iters for r in hooked.trace} == {0}
+    assert {(r.power_iters, r.squarings) for r in hooked.trace} == {(0, 0)}
 
 
 def test_trace_is_sandwiched_and_monotone_on_fixture():

@@ -551,20 +551,28 @@ def test_families_off_the_block_keep_the_per_set_scan():
                 assert down[i].tobytes() == reference_best_row(rs, v, "min").tobytes()
 
 
-def test_a_copied_family_drops_the_shared_block():
+def test_a_copied_family_keeps_its_block_scan():
     import copy
     import pickle
 
     from spectral_optim import degree_family, DegreeSpec, stabilization_family
+    from spectral_optim.rows import _FiniteBatch
 
-    # A copy is rebuilt from the sets, so a generated family's copies scan
-    # set by set.
+    # A generated family's copy is rebuilt from its one block, so it keeps
+    # the block scan, and its sets are views of the copy's block.
     family = generate_random_family(5, 2, (0.3, 0.6), seed=3)
     v = np.arange(1.0, 6.0)
     for other in (copy.copy(family), copy.deepcopy(family),
                   pickle.loads(pickle.dumps(family))):
-        assert other._batch is None
+        assert isinstance(other._batch, _FiniteBatch)
+        assert all(np.shares_memory(rs.rows, other._batch.block) for rs in other.sets)
         _assert_same_extremes(family, other, v)
+    # The pickle holds the block once: 16 MB at d=200, N=50.
+    big = generate_random_family(200, 50, (0.05, 0.2), seed=4)
+    data = pickle.dumps(big)
+    assert len(data) < 16.1e6
+    w = np.random.default_rng(5).random(200)
+    _assert_same_extremes(big, pickle.loads(data), w)
     # L1 and degree families copy their state, so a copy builds a batch of
     # its own.
     balls = stabilization_family(np.arange(25.0).reshape(5, 5) % 3, 1.5)
@@ -580,6 +588,15 @@ def test_a_copied_family_drops_the_shared_block():
                   pickle.loads(pickle.dumps(graphs))):
         assert other._batch is not None and other._batch is not graphs._batch
         _assert_same_extremes(graphs, other, v)
+
+
+def test_a_batch_handed_over_must_answer_every_set():
+    from spectral_optim.rows import _FiniteBatch
+
+    block = generate_random_family(4, 2, (0.3, 0.6), seed=8)._batch.block
+    sets = tuple(FiniteSet(rows) for rows in block)
+    with pytest.raises(ValueError, match="the batch answers 3 rows, expected 4"):
+        ProductFamily(sets, _batch=_FiniteBatch(block[:3]))
 
 
 # --------------------------------------- L1 and degree batches, bit for bit
