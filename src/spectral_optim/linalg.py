@@ -21,20 +21,25 @@ The radius is always read off A itself, at the returned vector.
   of its value between them vanishes in the limit and is set to exactly 0.
   A small A whose squaring does not settle within 64 squarings (a slow
   drift between tied classes, such as a Jordan chain coupled at 1e-10 of
-  its diagonal) takes one of the two other paths, like a larger one.
+  its diagonal) takes one of the two other paths, like a larger one; so
+  does one whose scaling zeroes a positive entry (entries spanning more
+  than the double range).
 * *Power.*  A larger irreducible A (every vertex of its support graph
   reaches vertex 0 and is reached from it) runs power iteration on A + I
   from the all-ones direction.
 * *Structural.*  A larger reducible A takes the limit from its strongly
   connected classes, which fix it exactly (Rothblum, Linear Algebra Appl.
   12, 1975; Berman & Plemmons, *Nonnegative Matrices in the Mathematical
-  Sciences*, ch. 2).  A singleton class's radius is its diagonal entry; a
-  class of at most 32 rows takes its radius and Perron vector from a dense
-  eigensolve, a larger one from power iteration on its block.  rho is the
-  largest class radius, and a class is *basic* when its radius lies within
-  1e-9 relative of rho (the tie rule).  A class's *height* is 1 if it is
-  basic, else 0, plus the largest height among the classes it has an edge
-  to.  With rho = 0 (nilpotent A) the limit is A^h 1 for the largest h with
+  Sciences*, ch. 2).  The singleton classes take their radii from the
+  diagonal in one gather.  A class of at most 32 rows takes its radius and
+  Perron vector from a dense eigensolve, one of 33 to 64 rows by squaring
+  its block, without the zero rule (its limit is positive), and a larger
+  one, or one whose scaling zeroes an entry, from power iteration on its
+  block.  rho is the largest class radius, and a class is *basic* when its
+  radius lies within 1e-9 relative of rho (the tie rule).  A class's
+  *height* is 1 if it is basic, else 0, plus the largest height among the
+  classes it has an edge to (one pass over the edges between classes).
+  With rho = 0 (nilpotent A) the limit is A^h 1 for the largest h with
   A^h 1 != 0.  Otherwise, when exactly one basic class has the top height,
   the limit is its Perron vector there, and on every other class of top
   height the solution of (rho I - A_UU) v_U = A_U,rest v_rest, taken sinks
@@ -45,7 +50,8 @@ A power stage, on A + I or on a class block, that runs through its budget
 (``PowerConfig.max_iters``) continues by squaring from its last iterate,
 without the zero rule where the limit is positive (a class block, an
 irreducible A).  Only such a squaring that does not settle within 64
-squarings raises :class:`PowerIterationError`.
+squarings, or a stage whose scaling would zero an entry, raises
+:class:`PowerIterationError`.
 """
 
 from __future__ import annotations
@@ -90,8 +96,9 @@ _POWER_STEPS_PER_ROW = 3
 
 class PowerIterationError(RuntimeError):
     """The selected vector did not settle: the squaring that continues a
-    power stage past its budget reached its cap of 64 squarings.  Carries
-    the last (normalized) iterate."""
+    power stage past its budget reached its cap of 64 squarings, or could
+    not start because scaling the matrix zeroes an entry.  Carries the last
+    (normalized) iterate."""
 
     def __init__(self, message: str, last_iterate: np.ndarray | None = None):
         super().__init__(message)
@@ -223,12 +230,16 @@ def _power_vector(apply, x: np.ndarray, eps: float, max_iters: int):
     return x, max_iters, False
 
 
-def _lifted(A: np.ndarray) -> np.ndarray:
+def _lifted(A: np.ndarray) -> np.ndarray | None:
     """2^-e A + I, with e the exponent that puts the largest row sum of
     2^-e A in [1/2, 1).  Scaling by a power of two is exact, so 2^k A lifts
-    to the same matrix."""
+    to the same matrix, unless it scales down an entry below the double
+    range: None when it zeroes a positive entry (only possible for e > 0)."""
     top = float(A.sum(axis=1).max())
-    B = np.ldexp(A, -math.frexp(top)[1]) if top > 0.0 else A.copy()
+    e = math.frexp(top)[1] if top > 0.0 else 0
+    B = np.ldexp(A, -e)
+    if e > 0 and np.count_nonzero(B) < np.count_nonzero(A):
+        return None
     B.flat[::B.shape[0] + 1] += 1.0
     return B
 
@@ -401,16 +412,33 @@ def _classes(A: np.ndarray, S: np.ndarray, up: np.ndarray,
             + [c for c in found if up[c[0]]])
 
 
+def _squared_lift(A: np.ndarray, x: np.ndarray, zeros: bool):
+    """:func:`_squared_vector` of A's lift from x, for a power stage past its
+    budget.  A lift that loses entries to underflow cannot continue it."""
+    B = _lifted(A)
+    if B is None:
+        raise PowerIterationError(
+            f"power stage did not settle and its entries span more than the "
+            f"double range (d={A.shape[0]})", last_iterate=x / np.linalg.norm(x))
+    return _squared_vector(B, x, zeros=zeros)
+
+
 def _class_eigen(A: np.ndarray, idx: np.ndarray, cfg: PowerConfig):
     """(radius, Perron vector, power steps, squarings) of the irreducible
-    class ``idx``."""
-    if idx.size == 1:
-        return float(A[idx[0], idx[0]]), np.ones(1), 0, 0
+    class ``idx`` of at least two rows."""
     if idx.size <= _DENSE_ROWS:
         # The Perron root has the largest real part of all eigenvalues.
         w, V = np.linalg.eig(A[np.ix_(idx, idx)])
         j = int(np.argmax(w.real))
         return float(w.real[j]), np.abs(V[:, j].real), 0, 0
+    if idx.size <= _SQUARING_ROWS:
+        block = A[np.ix_(idx, idx)]
+        B = _lifted(block)
+        if B is not None:
+            # Irreducible, so the limit is positive: no zero rule.
+            u, squarings = _squared_vector(B, zeros=False)
+            u /= float(np.linalg.norm(u))
+            return _rho_from_vector(block, u), u, 0, squarings
     # Power iteration on the block plus I, run on all of A with the vector
     # held at 0 off the block: no copy of the block unless it squares.
     off = np.ones(A.shape[0], dtype=bool)
@@ -426,7 +454,7 @@ def _class_eigen(A: np.ndarray, idx: np.ndarray, cfg: PowerConfig):
     v, iters, done = _power_vector(apply, x0, cfg.eps, cfg.resolve_max_iters(idx.size))
     squarings = 0
     if not done:
-        v[idx], squarings = _squared_vector(_lifted(A[np.ix_(idx, idx)]), v[idx], zeros=False)
+        v[idx], squarings = _squared_lift(A[np.ix_(idx, idx)], v[idx], zeros=False)
     return _rho_from_vector(A, v), v[idx], iters, squarings
 
 
@@ -439,12 +467,22 @@ def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
     S = A > 0.0
     np.fill_diagonal(S, False)
     classes = _classes(A, S, up, down)
-    eigen = [_class_eigen(A, idx, cfg) for idx in classes]
-    iters = sum(e[2] for e in eigen)
-    squarings = sum(e[3] for e in eigen)
-    radii = np.array([e[0] for e in eigen])
+    n = len(classes)
+    sizes = [idx.size for idx in classes]
+    members = np.concatenate(classes)
+    # A singleton's radius is its diagonal entry: one gather for all.
+    starts = np.cumsum([0] + sizes[:-1])
+    first = members[starts]
+    radii = A[first, first]
+    vectors = {}
+    iters = squarings = 0
+    for c, size in enumerate(sizes):
+        if size > 1:
+            radii[c], vectors[c], more_iters, more = _class_eigen(A, classes[c], cfg)
+            iters += more_iters
+            squarings += more
     rho = float(np.max(radii))
-    if rho == 0.0 and len(classes) == d:
+    if rho == 0.0 and n == d:
         # Acyclic support, so A is nilpotent and A^d = 0: (A + I)^k 1 is
         # dominated by the highest nonzero power.
         x = np.ones(d)
@@ -455,25 +493,34 @@ def _structural_vector(A: np.ndarray, up: np.ndarray, down: np.ndarray,
             if top == 0.0:
                 return x, iters, squarings
             x = y / top
-    basic = radii >= rho - _TIE * rho
-    owner = np.empty(d, dtype=int)
-    for c, idx in enumerate(classes):
-        owner[idx] = c
-    # Sinks first, so every class a class points to already has its height.
-    height = np.zeros(len(classes), dtype=int)
-    for c, idx in enumerate(classes):
-        height[c] = basic[c] + height[owner[S[idx].any(axis=0)]].max(initial=0)
-    top = np.flatnonzero(basic & (height == height.max()))
-    if top.size > 1:
+    basic = (radii >= rho - _TIE * rho).astype(int).tolist()
+    # Class adjacency: S's rows, then its columns, or-reduced over each
+    # class.  Sinks come first, so every edge between classes leads to an
+    # earlier class, whose height is final before it is read.
+    rows = np.logical_or.reduceat(S[members], starts, axis=0)
+    adjacent = np.logical_or.reduceat(rows[:, members].T, starts, axis=0).T
+    np.fill_diagonal(adjacent, False)
+    src, dst = np.nonzero(adjacent)
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    dst = dst.tolist()
+    height = basic[:]
+    begin = 0
+    for c, end in enumerate(ends):
+        if end > begin:
+            height[c] += max(map(height.__getitem__, dst[begin:end]))
+        begin = end
+    top_height = max(height)
+    top = [c for c in range(n) if basic[c] and height[c] == top_height]
+    if len(top) > 1:
         return None, iters, squarings
-    b = int(top[0])
-    r_b = eigen[b][0]
+    b = top[0]
+    r_b = float(radii[b])
     v = np.zeros(d)
-    v[classes[b]] = eigen[b][1]
-    for c in np.flatnonzero(height == height[b]):
-        idx = classes[c]
-        if c == b:
+    v[classes[b]] = vectors.get(b, 1.0)
+    for c in range(n):
+        if c == b or height[c] != top_height:
             continue
+        idx = classes[c]
         rhs = A[idx] @ v
         if idx.size == 1:
             v[idx] = rhs / (r_b - A[idx[0], idx[0]])
@@ -497,7 +544,8 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
       exactly 0.0, and ``selected_eigenpair(2.0**k * A).v`` is bit-equal to
       ``selected_eigenpair(A).v``.  One whose squaring does not settle
       within 64 squarings takes the next two paths, like a larger A, and
-      counts the 64 in ``squarings``;
+      counts the 64 in ``squarings``; so does one whose scaling would zero
+      a positive entry, without squaring;
     * ``power`` for a larger irreducible A, tested by forward and backward
       reachability from vertex 0, and for a larger reducible A with several
       basic classes of top height;
@@ -521,16 +569,18 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
     ------
     PowerIterationError
         If the squaring that continues a power stage past its budget does
-        not settle within 64 squarings (the 2^64-th power); the message
-        names d and the last change.
+        not settle within 64 squarings (the 2^64-th power), or cannot
+        start because the matrix's entries span more than the double
+        range; the message names d.
     """
     A = check_matrix(A)
     cfg = config or PowerConfig()
     d = A.shape[0]
     v, iters, squarings = None, 0, 0
-    if d <= _SQUARING_ROWS:
+    B = _lifted(A) if d <= _SQUARING_ROWS else None
+    if B is not None:
         try:
-            v, squarings = _squared_vector(_lifted(A))
+            v, squarings = _squared_vector(B)
         except PowerIterationError:
             # A slow drift between tied classes, such as a Jordan chain
             # coupled at 1e-10 of its diagonal: the classes settle it.
@@ -553,7 +603,7 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
         iters += k
         path = "power"
         if not done:
-            v, more = _squared_vector(_lifted(A), v, zeros=not irreducible)
+            v, more = _squared_lift(A, v, zeros=not irreducible)
             squarings += more
             path = "squaring"
     # The iterate of a non-negative matrix from a positive start stays

@@ -79,8 +79,11 @@ class OptimizerConfig:
     delta : float
         A row is only replaced when its inner-product improvement against the
         current eigenvector is at least ``delta``; this blocks churn from
-        floating-point ties and is the improvement threshold used by cycle
-        detection.
+        floating-point ties.  It is also the cycle check's threshold: a
+        revisited matrix (entries equal at 1e-12) ends the run as
+        ``cycle-detected`` unless rho beats its earlier visit by more than
+        ``delta``, and a pass that beats the best earlier rho by more than
+        ``delta`` is not looked up at all.
     max_outer_iters : int
         Cap on row-update passes.
     reducibility_alpha : float
@@ -165,27 +168,85 @@ class OptimizationResult:
     iterates: list[np.ndarray] | None = None
 
 
-def _row_digests(rows) -> list[bytes]:
-    """One digest per row, of its entries quantized at 1e-12 as floats (no
+_MOD = 1 << 128
+
+
+def _row_hashes(index, rows) -> list[int]:
+    """h(i, row_i) per row, as an integer below 2^128: blake2b-128 of the
+    row index and the row's entries quantized at 1e-12, both as floats (no
     integer cast to overflow); adding 0.0 merges -0.0 into +0.0."""
-    q = np.rint(np.asarray(rows, dtype=float) / 1e-12) + 0.0
-    return [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in q]
+    rows = np.asarray(rows, dtype=float)
+    q = np.empty((rows.shape[0], rows.shape[1] + 1))
+    q[:, 0] = index
+    np.rint(rows / 1e-12, out=q[:, 1:])
+    q += 0.0
+    return [int.from_bytes(hashlib.blake2b(r.tobytes(), digest_size=16).digest(), "little")
+            for r in q]
 
 
-def _digest_of_rows(row_digests: list[bytes]) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(len(row_digests)).tobytes())
-    h.update(b"".join(row_digests))
-    return h.digest()
+def matrix_signature(A) -> int:
+    """Additive content hash of a matrix with entries quantized at 1e-12:
+    a hash of its shape plus h(i, row_i) over its rows, mod 2^128.
 
-
-def matrix_signature(A) -> bytes:
-    """Content hash of a matrix with entries quantized at 1e-12.
-
-    It is the digest of the row count and the per-row digests, so the
-    optimizers keep it current by re-hashing only the rows a step changed.
+    The cycle check keys a run's k-th matrix A_k by
+    ``(matrix_signature(A_k) - matrix_signature(A_0)) % 2**128``, which it
+    sums over the changed rows alone.  The name is kept for the benchmark's
+    tracing (``perfbench/tracing.py``) until ROADMAP item 1 step B.
     """
-    return _digest_of_rows(_row_digests(A))
+    A = np.asarray(A, dtype=float)
+    shape = hashlib.blake2b(np.array(A.shape, dtype=np.int64).tobytes(), digest_size=16)
+    return (int.from_bytes(shape.digest(), "little")
+            + sum(_row_hashes(np.arange(A.shape[0]), A))) % _MOD
+
+
+class _Revisits:
+    """The radius of every matrix a run has visited, by key, kept lazily.
+
+    The key of the k-th matrix is the sum of h(i, row_i) - h(i, start_i)
+    mod 2^128 over the rows changed since the start (:func:`_row_hashes`).
+    Each pass that changes rows logs them, old and new, with its radius;
+    the log is folded into the table only for a lookup, or before it would
+    hold more than d rows.  So no start matrix is hashed, a row change is
+    hashed at most twice, and a run that never needs a lookup may hash
+    nothing.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.seen: dict[int, float] = {}   # key -> radius at its latest visit
+        self.key = 0                       # key of the first matrix not folded
+        self.log: list[tuple] = []         # (radius, rows, old, new) per pass
+        self.size = 0                      # rows in the log
+
+    def record(self, rho: float, rows, old, new) -> None:
+        """Log a pass at radius ``rho`` that replaced ``rows`` (``old``)
+        by ``new``."""
+        if self.size + len(rows) > self.d:
+            self.fold()
+        self.log.append((rho, rows, old, new))
+        self.size += len(rows)
+
+    def fold(self) -> None:
+        """Enter every logged pass in the table, in order; ``key`` becomes
+        the current matrix's."""
+        if not self.log:
+            return
+        index = np.concatenate([rows for _, rows, _, _ in self.log])
+        olds = _row_hashes(index, np.concatenate([old for _, _, old, _ in self.log]))
+        news = _row_hashes(index, np.concatenate([new for *_, new in self.log]))
+        pos = 0
+        for rho, rows, _, _ in self.log:
+            self.seen[self.key] = rho
+            end = pos + len(rows)
+            self.key = (self.key + sum(news[pos:end]) - sum(olds[pos:end])) % _MOD
+            pos = end
+        self.log.clear()
+        self.size = 0
+
+    def lookup(self) -> float | None:
+        """Radius at the latest earlier visit of the current matrix."""
+        self.fold()
+        return self.seen.get(self.key)
 
 
 def _apply_step(A, v, cand, new_dots, old_dots, direction, delta, kind):
@@ -227,8 +288,7 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
     which maps v to the family's maximizing and minimizing members."""
     step_kind = _METHODS[cfg.method]
     sign = 1.0 if cfg.direction == "max" else -1.0
-    row_digests = _row_digests(A)
-    seen: dict[bytes, float] = {}
+    revisits = _Revisits(A.shape[0])
     trace: list[TraceRow] = []
     iterates: list[np.ndarray] | None = [] if cfg.record_iterates else None
     best = None   # (A, v, rho, s, t) with the best rho so far
@@ -245,14 +305,17 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
         if iterates is not None:
             iterates.append(A.copy())
         last = (A, v, rho, s, t)
+        # A revisit is a cycle when rho does not beat the earlier visit's by
+        # more than delta.  Rounding a subtraction is monotone, so no earlier
+        # visit can qualify unless the best earlier rho does.
+        cycled = False
+        if best is not None and sign * (rho - best[2]) <= cfg.delta:
+            prev_rho = revisits.lookup()
+            cycled = prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta
         if best is None or sign * (rho - best[2]) > 0:
             best = last
-        sig = _digest_of_rows(row_digests)
-        prev_rho = seen.get(sig)
-        cycled = prev_rho is not None and sign * (rho - prev_rho) <= cfg.delta
         changed = ()
         if not cycled:
-            seen[sig] = rho
             cand, new_dots = ((up, up_dots) if cfg.direction == "max"
                               else (down, down_dots))
             A_next, changed = _apply_step(A, v, cand, new_dots, own_dots, cfg.direction,
@@ -268,9 +331,8 @@ def _run(extremes, A, cfg: OptimizerConfig, eigenvector_fn=None) -> Optimization
             else:
                 status = STATUS_OPTIMAL
             break
-        rows = list(changed)
-        for i, digest in zip(rows, _row_digests(A_next[rows])):
-            row_digests[i] = digest
+        rows = np.array(changed)
+        revisits.record(rho, rows, A[rows], A_next[rows])
         A = A_next
     if status is None:
         _, _, rho_l, s_l, t_l = last

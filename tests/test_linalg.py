@@ -548,6 +548,50 @@ def test_large_class_runs_the_power_stage_on_its_block():
     assert np.max(np.abs(short.v - pair.v)) <= 1e-8
 
 
+def _top_class_over_a_sink(scale=1.0, tiny=None):
+    """70 rows: a 40-row top class (above the dense limit, within the
+    squaring limit) with an edge into a 30-row sink class of smaller
+    radius.  ``tiny`` replaces one entry of the top class."""
+    rng = np.random.default_rng(40)
+    A = np.zeros((70, 70))
+    A[:40, :40] = scale * rng.random((40, 40))
+    A[40:, 40:] = 0.1 * scale * rng.random((30, 30))
+    A[3, 50] = scale
+    if tiny is not None:
+        A[0, 1] = tiny
+    return A
+
+
+def test_a_forty_row_top_class_squares_on_its_block():
+    A = _top_class_over_a_sink()
+    pair = selected_eigenpair(A)
+    assert (pair.path, pair.power_iters) == ("structural", 0)
+    assert pair.squarings > 0
+    assert np.all(pair.v[40:] == 0.0)
+    w, V = np.linalg.eig(A[:40, :40])
+    perron = unit(np.abs(V[:, int(np.argmax(w.real))].real))
+    assert np.max(np.abs(pair.v[:40] - perron)) <= 1e-12
+    assert pair.rho == pytest.approx(float(np.max(w.real)), rel=1e-12)
+
+
+def test_a_lift_that_underflows_is_not_squared():
+    # Scaled into [1/2, 1), the 1e-300 entry underflows to 0, and the
+    # squaring would see (1, 1) where the limit is (1, 0).
+    pair = selected_eigenpair(np.array([[1e300, 1e-300], [0.0, 1e300]]))
+    assert pair.path == "structural"
+    assert pair.v.tolist() == [1.0, 0.0]
+    # A class block whose lift underflows runs its power stage instead
+    # (at a scale whose power iterates keep a finite norm).
+    A = _top_class_over_a_sink(scale=1e150, tiny=1e-200)
+    pair = selected_eigenpair(A)
+    assert pair.path == "structural"
+    assert pair.power_iters > 0 and pair.squarings == 0
+    assert np.all(pair.v[40:] == 0.0) and np.all(pair.v[:40] > 0.0)
+    # Past its budget, that power stage cannot square on.
+    with pytest.raises(PowerIterationError, match="double range"):
+        selected_eigenpair(A, PowerConfig(max_iters=2))
+
+
 def test_classes_match_the_closure_oracle_sinks_first():
     from spectral_optim.linalg import _classes, _reach
 

@@ -138,40 +138,106 @@ def test_cycle_check_runs_warning_free_on_large_entries():
         assert res.rho / 1e8 == pytest.approx(ref.rho, rel=1e-8)
 
 
-def _optimizer_keys(monkeypatch, run):
-    """Run ``run()`` and collect the cycle-check keys the optimizer computed."""
-    import importlib
+class _CycleSpy:
+    """Counts what the cycle check of a run hashes, logs and looks up."""
 
-    module = importlib.import_module("spectral_optim.optimize")
-    keys = []
-    real = module._digest_of_rows
+    def __init__(self, monkeypatch):
+        import importlib
 
-    def spy(row_digests):
-        keys.append(real(row_digests))
-        return keys[-1]
+        module = importlib.import_module("spectral_optim.optimize")
+        self.hashed = 0
+        self.keys = []
+        self.log_sizes = []
+        real_hashes = module._row_hashes
+        real_lookup = module._Revisits.lookup
+        real_record = module._Revisits.record
 
-    with monkeypatch.context() as m:
-        m.setattr(module, "_digest_of_rows", spy)
-        res = run()
-    return res, keys
+        def row_hashes(index, rows):
+            self.hashed += len(index)
+            return real_hashes(index, rows)
+
+        def lookup(revisits):
+            out = real_lookup(revisits)
+            self.keys.append(revisits.key)
+            return out
+
+        def record(revisits, *args):
+            real_record(revisits, *args)
+            self.log_sizes.append(revisits.size)
+
+        monkeypatch.setattr(module, "_row_hashes", row_hashes)
+        monkeypatch.setattr(module._Revisits, "lookup", lookup)
+        monkeypatch.setattr(module._Revisits, "record", record)
 
 
-def test_optimizer_cycle_key_is_the_matrix_signature(monkeypatch):
-    from spectral_optim.gen import generate_random_family
+def _expected_keys(res, direction="max", delta=1e-10):
+    """Signature differences of the passes whose rho does not beat the best
+    earlier rho by more than delta: the ones the cycle check looks up."""
+    sign = 1.0 if direction == "max" else -1.0
+    base = matrix_signature(res.iterates[0])
+    keys, best = [], None
+    for row, A in zip(res.trace, res.iterates):
+        if best is not None and sign * (row.rho - best) <= delta:
+            keys.append((matrix_signature(A) - base) % 2**128)
+        if best is None or sign * (row.rho - best) > 0:
+            best = row.rho
+    return keys
 
+
+def test_improving_run_hashes_no_rows(monkeypatch):
+    # Every pass beats the last by more than delta and its 35 changed rows
+    # fit the log (d = 40): no lookup, so nothing is hashed.
+    fam = generate_random_family(40, 20, (0.09, 0.15), seed=38)
+    spy = _CycleSpy(monkeypatch)
+    res = optimize(fam, OptimizerConfig(direction="min"))
+    assert res.status == "optimal"
+    assert [len(r.rows_changed) for r in res.trace] == [15, 5, 8, 4, 3, 0]
+    assert spy.hashed == 0 and spy.keys == []
+
+
+def test_cycle_log_stays_within_one_matrix(monkeypatch):
+    # 62 changed rows over six passes at d = 40; the last two passes gain
+    # less than delta, so both are looked up.
     fam = generate_random_family(40, 20, (0.09, 0.15), seed=1)
+    spy = _CycleSpy(monkeypatch)
     cfg = OptimizerConfig(direction="min", record_iterates=True)
-    res, keys = _optimizer_keys(monkeypatch, lambda: optimize(fam, cfg))
-    assert res.iterations == 6
-    assert sum(len(r.rows_changed) for r in res.trace) > res.iterations
-    assert keys == [matrix_signature(A) for A in res.iterates]
+    res = optimize(fam, cfg)
+    assert res.status == "optimal" and res.iterations == 6
+    assert sum(len(r.rows_changed) for r in res.trace) == 62
+    assert max(spy.log_sizes) <= 40
+    assert 0 < spy.hashed <= 2 * 62
+    assert len(spy.keys) == 2
+    assert spy.keys == _expected_keys(res, "min")
 
+
+def test_adversarial_cycle_keys_are_signature_differences(monkeypatch):
+    spy = _CycleSpy(monkeypatch)
     cfg = OptimizerConfig(method="greedy", power=TIGHT, record_iterates=True)
-    res, keys = _optimizer_keys(monkeypatch, lambda: optimize(
-        demo.cycling_family(), cfg, eigenvector_fn=demo.adversarial_eigenvectors(),
-        initial_matrix=demo.cycling_initial_matrix()))
+    res = optimize(demo.cycling_family(), cfg,
+                   eigenvector_fn=demo.adversarial_eigenvectors(),
+                   initial_matrix=demo.cycling_initial_matrix())
     assert res.status == "cycle-detected"
-    assert keys == [matrix_signature(A) for A in res.iterates]
+    assert res.iterations == 4
+    np.testing.assert_array_equal(res.matrix, SWAP_A)
+    assert len(spy.keys) == 2
+    assert spy.keys == _expected_keys(res)
+
+
+@pytest.mark.parametrize("shift, passes", [(1e-14, 3), (2e-12, 4)])
+def test_cycle_check_revisit_at_picoscale(shift, passes):
+    # Set 0 also holds SWAP_A's first row shifted by ``shift``, which the
+    # adversarial step from SWAP_B prefers.  At 1e-14 the shifted matrix
+    # quantizes like SWAP_A and closes the cycle; at 2e-12 it is a new
+    # matrix, and SWAP_B's revisit closes it one pass later.
+    base = demo.cycling_family()
+    rows0 = np.vstack([base.sets[0].rows, SWAP_A[0] + shift])
+    fam = ProductFamily((FiniteSet(rows0),) + tuple(base.sets[1:]))
+    cfg = OptimizerConfig(method="greedy", power=TIGHT)
+    res = optimize(fam, cfg, eigenvector_fn=demo.adversarial_eigenvectors(),
+                   initial_matrix=SWAP_A)
+    assert res.status == "cycle-detected"
+    assert res.iterations == passes
+    assert res.trace[2].rho == pytest.approx(10.0, abs=1e-9)
 
 
 SWAP_B = np.array([[0.0, 10.0, 5.0],
