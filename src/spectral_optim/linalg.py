@@ -212,6 +212,11 @@ def check_vector(v, d: int | None = None) -> np.ndarray:
     return w
 
 
+# Iterates whose largest entry lies in this range have a norm whose squares
+# neither overflow nor underflow (for fewer than 2^23 rows).
+_NORM_SAFE = (2.0 ** -500, 2.0 ** 500)
+
+
 def _power_vector(apply, x: np.ndarray, eps: float, max_iters: int):
     """Normalized power iteration x <- apply(x) from the unit vector x.
 
@@ -219,11 +224,19 @@ def _power_vector(apply, x: np.ndarray, eps: float, max_iters: int):
     settled to ``eps`` within ``max_iters`` steps.  ``apply`` must be a
     non-negative operator with a positive diagonal (A + I), so the iterate
     never collapses to zero and no complex eigenvalue shares the leading
-    modulus.
+    modulus.  Each iterate is divided by its Euclidean norm.  One whose
+    largest entry lies outside [2^-500, 2^500] is first scaled by the power
+    of two of that entry, which is exact, so that the squares in its norm
+    neither overflow (entries near 1e300 would) nor underflow.
     """
     for k in range(1, max_iters + 1):
         y = apply(x)
-        y /= float(np.linalg.norm(y))
+        top = float(np.maximum.reduce(y))
+        if not _NORM_SAFE[0] <= top <= _NORM_SAFE[1]:
+            y *= math.ldexp(1.0, -math.frexp(top)[1])
+        # The norm's own arithmetic (np.linalg.norm takes sqrt(y @ y) too),
+        # without its Python wrapper.
+        y /= math.sqrt(float(y @ y))
         if float(np.max(np.abs(y - x))) <= eps:
             return y, k, True
         x = y

@@ -34,16 +34,34 @@ cycle; the first step with a gain switches back to steepest edge.  Rows
 with a negative right-hand side at y = 0 get an artificial variable and a
 phase 1 that removes it.
 
+One loop runs the simplex, on a stack of tableaux of one shape.  Each step
+prices every tableau that can still improve, lets each one flip bounds
+until it has a pivot, and takes all those pivots in one rank-1 update of
+the stack; a tableau at its optimum moves behind the others and no later
+step touches it.  Every rule above is applied per tableau, and so is the
+arithmetic: products and differences are elementwise, with no fused
+multiply-add, and each sum over one tableau (its weights, its priced
+objective row) is taken as a lone solve takes it.  A program solved in a
+stack therefore takes the same pivots and flips and ends at the same x, to
+the last bit, as when it is solved alone.
+:func:`lp_optimize` solves a stack of one; a family of halfspace polytopes
+(:mod:`.rows`) solves all of its sets of one shape in one stack per call, at
+the cost of the slowest one's steps, not the sum of them.  Stacks hold at
+most ``_CHUNK_ENTRIES`` = 2^20 tableau entries (8 MB), beside as much room
+for the update, whatever the number of programs.
+
 A solve may start from an earlier :class:`LPSolution` of the same
 constraints, where only the objective or the sense differ.  Its optimal
 basis is still primal feasible, so phase 2 restarts there, usually a pivot
 or two from the optimum, in one of two ways:
 
-* *tableau*: the solution keeps a read-only copy of its optimal tableau and
-  weights.  The new solve copies them, reprices the objective row for the
-  new objective and pivots on: no linear solve and no rebuild.  This needs
-  the constraints to be checked identical, not assumed: normals, rhs, lo
-  and hi are compared with the copy the tableau keeps.
+* *tableau*: the solution keeps its optimal tableau and weights, read-only.
+  The new solve copies them into its stack, reprices the objective row for
+  the new objective and pivots on: no linear solve and no rebuild.  This
+  needs the constraints to be checked identical, not assumed: normals, rhs,
+  lo and hi must be the very arrays the tableau was built from, read-only
+  all the way down (as a polytope set's own program is), or else equal in
+  content to the read-only copy the tableau then keeps.
 * *basis*: otherwise the tableau is refactorized from the basis and the
   columns held at their upper bound with one linear solve.  That also
   happens when the tableau has been carried through m pivots since it was
@@ -56,10 +74,12 @@ or two from the optimum, in one of two ways:
 A solution whose basis does not fit the program, or is singular or
 infeasible for it, is ignored and the solve starts cold.
 :attr:`LPSolution.start` names the path taken.  The kept tableau has
-(m + 1)(n + m + 1) floats, beside a copy of the constraints.  For a
-polytope in the unit box of R^d cut by m halfspaces that is 31 KB at d=25,
-m=50, 61 KB at d=100 and 102 KB at d=200 (m=50), against 11, 42 and 84 KB
-for the copy.  Where several vertices are optimal, which one is returned
+(m + 1)(n + m + 1) floats: for a polytope in the unit box of R^d cut by m
+halfspaces that is 31 KB at d=25, m=50, 61 KB at d=100 and 102 KB at d=200
+(m=50).  It is a view of the stack its solve ran in, so the stack lives as
+long as one of its tableaux is kept.  A program whose arrays are not
+read-only also has its constraints copied, (m + 2) n + m floats: 11, 42
+and 84 KB there.  Where several vertices are optimal, which one is returned
 can depend on the starting basis and on the path.
 """
 
@@ -83,6 +103,11 @@ _DEGENERATE_RUN = 50
 # Reduced costs, pivot entries, ratio ties and right-hand sides within this
 # of zero count as zero.
 _TOL = 1e-9
+# Tableau entries solved in lockstep at once: programs are stacked in chunks
+# of at most this many entries (at least one program per chunk), so neither
+# the stack nor the temporary of its rank-1 update grows with the number of
+# programs.
+_CHUNK_ENTRIES = 1 << 20
 
 
 class LPInfeasibleError(ValueError):
@@ -127,13 +152,29 @@ class LinearProgram:
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether ``a`` and every array it is a view of are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class _Tableau:
     """An optimal tableau kept for the next solve, with its basis, the
     columns held at their upper bound, the steepest-edge weights, the
     constraints it was built from, their upper bounds and the pivots it has
     been carried through since it was last built cold or refactorized.
-    Every array is read-only: a solve that restarts here works on copies."""
+    Every array is read-only: a solve that restarts here works on copies.
+    The constraints are the program's own arrays where those were read-only
+    all the way down, else read-only copies of them."""
 
     T: np.ndarray
     basis: np.ndarray
@@ -144,14 +185,11 @@ class _Tableau:
     carried: int
 
     def fits(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` has exactly the constraints this tableau encodes."""
-        return all(np.array_equal(mine, theirs) for mine, theirs in
+        """Whether ``lp`` has exactly the constraints this tableau encodes:
+        the same read-only arrays, or arrays of equal content."""
+        return all((mine is theirs and not mine.flags.writeable)
+                   or np.array_equal(mine, theirs) for mine, theirs in
                    zip(self.constraints, (lp.normals, lp.rhs, lp.lo, lp.hi)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,98 +224,176 @@ class LPSolution:
         return iter((self.x, self.value))
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    pivot_row = T[row] / T[row, col]
-    T -= T[:, col, None] * pivot_row
-    T[row] = pivot_row
-    basis[row] = col
+# The kernels below work on a stack of k tableaux of one shape: T is
+# (k, m + 1, ncols + 1), basis (k, m), at_upper and the weights w (k, ncols),
+# u (k, ncols + m).  Row and column arguments hold one index per tableau.
+# The loop calls the ufuncs' own reductions: the array methods wrap each of
+# its few-microsecond calls in Python.
+_any, _all, _min = np.logical_or.reduce, np.logical_and.reduce, np.minimum.reduce
+
+
+def _pivot(T, basis, row, col, out=None) -> None:
+    """Pivot column col[s] into the basis at row row[s] of every tableau
+    T[s]; ``out`` is room for the rank-1 update, of T's shape."""
+    s = np.arange(T.shape[0])
+    pivot_row = T[s, row] / T[s, row, col][:, None]
+    # One rounding per product, as a broadcast multiply, but faster; einsum
+    # writes +0.0 where that product is -0.0, and zero signs decide no
+    # comparison.  The subtraction is a rounding of its own (no fused
+    # multiply-add).
+    T -= np.einsum("ki,kj->kij", T[s, :, col], pivot_row, out=out)
+    T[s, row] = pivot_row
+    basis[s, row] = col
 
 
 def _weights(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact steepest-edge weights 1 + ||column||^2 of the tableau body,
+    """Exact steepest-edge weights 1 + ||column||^2 of each tableau body,
     into ``out`` when given."""
-    body = T[:-1, :-1]
-    out = np.einsum("ij,ij->j", body, body, out=out)
+    body = T[:, :-1, :-1]
+    out = np.einsum("kij,kij->kj", body, body, out=out)
     out += 1.0
     return out
 
 
-def _complement_row(T, at_upper, u, row: int, col: int) -> None:
-    """Substitute u_col - y for the basic variable ``col`` of ``row``."""
-    T[row] *= -1.0
-    T[row, col] = 1.0
-    T[row, -1] += u[col]
-    at_upper[col] = not at_upper[col]
+def _complement_row(T, at_upper, u, s, row, col) -> None:
+    """Substitute u_col - y for the basic variable col[i] of row row[i] of
+    tableau s[i]."""
+    T[s, row] *= -1.0
+    T[s, row, col] = 1.0
+    T[s, row, -1] += u[s, col]
+    at_upper[s, col] = ~at_upper[s, col]
 
 
-def _exchange(T, basis, at_upper, u, w, row: int, col: int) -> None:
-    """Pivot ``col`` into the basis at ``row`` and recompute the weights."""
-    _pivot(T, basis, row, col)
-    if at_upper[col]:
-        _complement_row(T, at_upper, u, row, col)
+def _exchange(T, basis, at_upper, u, w, row, col, out=None) -> None:
+    """Pivot col[s] into the basis of every tableau at row[s] and recompute
+    the weights."""
+    _pivot(T, basis, row, col, out)
+    up = at_upper[np.arange(col.size), col].nonzero()[0]
+    if up.size:
+        _complement_row(T, at_upper, u, up, row[up], col[up])
     _weights(T, out=w)
 
 
-def _run_simplex(T, basis, at_upper, u, w) -> tuple[int, int]:
-    """Drive the tableau to optimality in place; returns (pivots, flips).
+def _run_simplex(T, basis, at_upper, u, w):
+    """Drive every tableau of the stack to optimality in place, in
+    lockstep; returns (pivots, flips, order), per position in the stack.
 
-    The objective row T[-1] holds z_j - c_j for a maximization; a column
-    with T[-1, j] < -_TOL improves the objective.  ``u`` holds the upper
+    The objective row T[s, -1] holds z_j - c_j for a maximization; a column
+    with T[s, -1, j] < -_TOL improves the objective.  ``u`` holds the upper
     bound of every column (after the shift to lo = 0) and of every index the
-    basis may hold; ``at_upper`` marks the complemented columns.
+    basis may hold; ``at_upper`` marks the complemented columns.  Each step
+    prices every tableau that can still improve, flips bounds until each
+    one has a pivot, and takes all those pivots in one rank-1 update.  A
+    tableau at its optimum moves behind the active ones, so no later step
+    touches it; ``order[p]`` is the tableau that ends at position p.
     """
-    m = T.shape[0] - 1
-    ncols = w.size
-    reduced = T[-1, :ncols]
-    rhs = T[:m, -1]
-    basic_upper = u[basis]
-    ratios = np.empty(m)
-    pivots = flips = degenerate = 0
-    for _ in range(20000 * (ncols + m)):
-        eligible = reduced < -_TOL
-        if degenerate < _DEGENERATE_RUN:
+    k, m = basis.shape
+    ncols = w.shape[1]
+    positions = np.arange(k)
+    # Per-position counters and the pending pivot (row, column and the
+    # entering column's upper bound), as views of two arrays, so that a
+    # move of positions is one copy per array.
+    counters = np.zeros((k, 6), dtype=np.intp)
+    order, pivots, flips, degenerate, rows, cols = counters.T
+    order[:] = positions
+    bounds = np.empty((k, m + 1))
+    basic_upper, entering_upper = bounds[:, :m], bounds[:, m]
+    basic_upper[:] = u[positions[:, None], basis]
+    per_position = (T, basis, at_upper, u, w, counters, bounds)
+    room_for_update = np.empty_like(T)
+    room_for_ratios = np.empty((k, m))
+    no_row = u.shape[1]   # above every index a basis holds
+    active = k
+    budget = 20000 * (ncols + m)
+    while active:
+        done = []
+        # The tableaux still to price: ``todo`` holds their positions, and
+        # ``sel`` selects them, as the slice of the active prefix (views, no
+        # copies) until a tableau drops out of this step.
+        todo, sel = positions[:active], slice(0, active)
+        while todo.size:
+            budget -= 1
+            if budget < 0:
+                raise RuntimeError("simplex exceeded its pivot budget")
+            ahead = positions[:todo.size]
+            reduced = T[sel, -1, :ncols]
+            eligible = reduced < -_TOL
             score = np.where(eligible, reduced, 0.0)
             score *= score
-            score /= w
-            col = int(score.argmax())
-        else:
-            col = int(eligible.argmax())
-        if not eligible[col]:
-            return pivots, flips
-        # A basic variable falls to 0 on a positive entry of the column and
-        # rises to its upper bound on a negative one.
-        a = T[:m, col]
-        size = np.abs(a)
-        room = np.where(a > 0.0, rhs, basic_upper - rhs)
-        ratios[:] = np.inf
-        np.divide(room, size, out=ratios, where=size > _TOL)
-        least = ratios.min() if m else np.inf
-        bound = u[col]
-        if bound <= least:
-            if bound == np.inf:
-                raise LPUnboundedError("LP unbounded")
-            # Bound flip: complement the entering column; the basis stays.
-            degenerate = degenerate + 1 if bound <= _TOL else 0
-            T[:, -1] -= T[:, col] * bound
-            T[:, col] *= -1.0
-            at_upper[col] = not at_upper[col]
-            flips += 1
-            continue
-        tied = (ratios <= least + _TOL).nonzero()[0]
-        row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
-        degenerate = degenerate + 1 if least <= _TOL else 0
-        if a[row] < 0.0:
-            _complement_row(T, at_upper, u, row, int(basis[row]))
-        _exchange(T, basis, at_upper, u, w, row, col)
-        basic_upper[row] = bound
-        pivots += 1
-    raise RuntimeError("simplex exceeded its pivot budget")
+            score /= w[sel]
+            col = score.argmax(axis=1)
+            bland = degenerate[sel] >= _DEGENERATE_RUN
+            if _any(bland):
+                col[bland] = eligible[bland].argmax(axis=1)
+            live = eligible[ahead, col]
+            if not _all(live):
+                done.append(todo[~live])
+                todo = sel = todo[live]
+                col = col[live]
+                ahead = positions[:todo.size]
+                if not todo.size:
+                    break
+            # A basic variable falls to 0 on a positive entry of the column
+            # and rises to its upper bound on a negative one.
+            a = T[todo, :m, col]
+            rhs = T[sel, :m, -1]
+            size = np.abs(a)
+            room = np.where(a > 0.0, rhs, basic_upper[sel] - rhs)
+            ratios = room_for_ratios[:todo.size]
+            ratios.fill(np.inf)
+            np.divide(room, size, out=ratios, where=size > _TOL)
+            least = _min(ratios, axis=1, initial=np.inf)
+            bound = u[todo, col]
+            flip = bound <= least
+            flipped = todo[flip]
+            if flipped.size:
+                if np.isinf(bound[flip]).any():
+                    raise LPUnboundedError("LP unbounded")
+                # Bound flip: complement the entering column; the basis stays.
+                fc, fb = col[flip], bound[flip]
+                degenerate[flipped] = np.where(fb <= _TOL, degenerate[flipped] + 1, 0)
+                T[flipped, :, -1] -= T[flipped, :, fc] * fb[:, None]
+                T[flipped, :, fc] *= -1.0
+                at_upper[flipped, fc] = ~at_upper[flipped, fc]
+                flips[flipped] += 1
+                go = ~flip
+                todo = sel = todo[go]
+                col, a, ratios, least, bound = col[go], a[go], ratios[go], least[go], bound[go]
+                ahead = positions[:todo.size]
+            if todo.size:
+                tied = ratios <= least[:, None] + _TOL
+                row = np.where(tied, basis[sel], no_row).argmin(axis=1)
+                degenerate[sel] = np.where(least <= _TOL, degenerate[sel] + 1, 0)
+                rows[sel], cols[sel], entering_upper[sel] = row, col, bound
+                leaving = a[ahead, row] < 0.0
+                if _any(leaving):
+                    q, qr = todo[leaving], row[leaving]
+                    _complement_row(T, at_upper, u, q, qr, basis[q, qr])
+            todo = sel = flipped
+        if done:
+            # Move the tableaux at their optimum behind the active ones: each
+            # swaps places with the last active one, in one move per array.
+            source = list(range(active))
+            for position in sorted(np.concatenate(done).tolist(), reverse=True):
+                active -= 1
+                source[position], source[active] = source[active], source[position]
+            moved = [p for p, q in enumerate(source) if p != q]
+            if moved:
+                sources = [source[p] for p in moved]
+                for arr in per_position:
+                    arr[moved] = arr[sources]
+        if active:
+            _exchange(T[:active], basis[:active], at_upper[:active], u[:active],
+                      w[:active], rows[:active], cols[:active], room_for_update[:active])
+            basic_upper[positions[:active], rows[:active]] = entering_upper[:active]
+            pivots[:active] += 1
+    return pivots, flips, order
 
 
 def _cold_start(A: np.ndarray, b: np.ndarray, u: np.ndarray):
     """A feasible tableau, basis, bound flags and weights for A y <= b,
     0 <= y <= u, and the phase 1 pivot and flip counts.  With b >= 0 no row
-    is flipped and phase 1 stops at once on the slack basis."""
+    is flipped, and the slack basis is feasible without a phase 1."""
     m, n = A.shape
     flip = b < 0
     A = np.where(flip[:, None], -A, A)
@@ -287,33 +403,36 @@ def _cold_start(A: np.ndarray, b: np.ndarray, u: np.ndarray):
     art_rows = np.flatnonzero(flip)
     n_art = art_rows.size
     ncols = n + m + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A
-    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
-    T[art_rows, n + m + np.arange(n_art)] = 1.0
-    T[:m, -1] = b
-    basis = np.arange(n, n + m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    at_upper = np.zeros(ncols, dtype=bool)
+    T = np.zeros((1, m + 1, ncols + 1))
+    T[0, :m, :n] = A
+    T[0, np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[0, art_rows, n + m + np.arange(n_art)] = 1.0
+    T[0, :m, -1] = b
+    basis = np.arange(n, n + m)[None]
+    basis[0, art_rows] = n + m + np.arange(n_art)
+    at_upper = np.zeros((1, ncols), dtype=bool)
     w = _weights(T)
+    if not n_art:
+        return T[0], basis[0], at_upper[0], w[0], 0, 0
     # Phase 1: maximize -sum(artificials).  With artificials basic the
     # priced objective row is -sum of their rows, except on the artificial
     # columns themselves where z_j - c_j = 0.
-    T[-1] = -T[art_rows].sum(axis=0)
-    T[-1, n + m:ncols] = 0.0
-    pivots, flips = _run_simplex(T, basis, at_upper, u, w)
-    if T[-1, -1] < -1e-7:
+    T[0, -1] = -T[0, art_rows].sum(axis=0)
+    T[0, -1, n + m:ncols] = 0.0
+    pivots, flips, _ = _run_simplex(T, basis, at_upper, u[None], w)
+    pivots, flips = int(pivots[0]), int(flips[0])
+    if T[0, -1, -1] < -1e-7:
         raise LPInfeasibleError("LP infeasible")
     # Pivot any artificial still basic (at zero level) out on a real column.
     # A row with no real pivot keeps its artificial; such a basis is not
     # reused for warm starts.
-    for i in np.flatnonzero(basis >= n + m):
-        real = np.flatnonzero(np.abs(T[i, :n + m]) > _TOL)
+    for i in np.flatnonzero(basis[0] >= n + m):
+        real = np.flatnonzero(np.abs(T[0, i, :n + m]) > _TOL)
         if real.size:
-            _exchange(T, basis, at_upper, u, w, i, int(real[0]))
+            _exchange(T, basis, at_upper, u[None], w, np.array([i]), real[:1])
             pivots += 1
-    T = np.delete(T, np.s_[n + m:ncols], axis=1)
-    return T, basis, at_upper[:n + m], w[:n + m], pivots, flips
+    T = np.delete(T[0], np.s_[n + m:ncols], axis=1)
+    return T, basis[0], at_upper[0, :n + m], w[0, :n + m], pivots, flips
 
 
 def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, basis, at_upper):
@@ -349,22 +468,115 @@ def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, basis, at_upper):
     T[np.arange(m), basis] = 1.0
     np.clip(T[:m, -1], 0.0, u[basis], out=T[:m, -1])
     T[:m, :-1][:, flags] *= -1.0
-    return T, basis, flags, _weights(T), 0, 0
+    return T, basis, flags, _weights(T[None])[0], 0, 0
 
 
-def _phase2(T, basis, at_upper, u, w, c: np.ndarray) -> tuple[int, int]:
-    """Price the objective ``c`` (max) for the tableau's basis and bound
-    flags and run the simplex to optimality; returns (pivots, flips)."""
-    m = T.shape[0] - 1
-    ncols = w.size
-    cost = np.zeros(ncols + m)   # room for artificials left basic at zero
-    cost[:c.size] = c
+def _price(T, basis, at_upper, u, c: np.ndarray) -> None:
+    """Price the objectives c[s] (max) for each tableau's basis and bound
+    flags."""
+    m = basis.shape[1]
+    ncols = at_upper.shape[1]
+    cost = np.zeros((c.shape[0], ncols + m))   # room for artificials left basic at zero
+    cost[:, :c.shape[1]] = c
     # A complemented column y' = u - y carries cost -c and adds c u.
-    signed = np.where(at_upper, -cost[:ncols], cost[:ncols])
-    T[-1] = cost[basis] @ T[:m]
-    T[-1, :ncols] -= signed
-    T[-1, -1] += cost[:ncols][at_upper] @ u[:ncols][at_upper]
-    return _run_simplex(T, basis, at_upper, u, w)
+    signed = np.where(at_upper, -cost[:, :ncols], cost[:, :ncols])
+    basic_cost = cost[np.arange(basis.shape[0])[:, None], basis]
+    T[:, -1] = np.matmul(basic_cost[:, None], T[:, :m])[:, 0]
+    T[:, -1, :ncols] -= signed
+    for s in np.flatnonzero(at_upper.any(axis=1)):
+        up = at_upper[s]
+        T[s, -1, -1] += cost[s, :ncols][up] @ u[s, :ncols][up]
+
+
+def _solve_stack(problems):
+    """Solve each (program, earlier) pair of ``problems``, where earlier is
+    an :class:`LPSolution` of the same constraints or None, and yield the
+    solutions in order (see :func:`lp_optimize`).
+
+    Runs of programs of one shape are solved in lockstep, in chunks of at
+    most ``_CHUNK_ENTRIES`` tableau entries.  A pair is taken from
+    ``problems`` only as its chunk is formed, and a chunk's solutions are
+    yielded before the next chunk is solved, so a caller that stores each
+    solution as it comes frees the earlier ones chunk by chunk.
+    """
+    chunk, shape, room = [], None, 0
+    for lp, earlier in problems:
+        m, n = lp.normals.shape
+        if (m, n) != shape or len(chunk) == room:
+            if chunk:
+                yield from _solve_chunk(chunk)
+            chunk, shape = [], (m, n)
+            room = max(1, _CHUNK_ENTRIES // ((m + 1) * (n + m + 1)))
+        chunk.append((lp, earlier))
+    if chunk:
+        yield from _solve_chunk(chunk)
+
+
+def _solve_chunk(problems) -> list[LPSolution]:
+    """The solutions of (program, earlier) pairs whose programs have one
+    shape, solved as one stack."""
+    k = len(problems)
+    m, n = problems[0][0].normals.shape
+    T = np.empty((k, m + 1, n + m + 1))
+    basis = np.empty((k, m), dtype=np.intp)
+    at_upper = np.empty((k, n + m), dtype=bool)
+    w = np.empty((k, n + m))
+    # Upper bounds after the shift y = x - lo: the structural columns, then
+    # the slacks and the artificials a phase 1 may leave basic.
+    u = np.empty((k, n + 2 * m))
+    pivots = np.zeros(k, dtype=np.intp)
+    flips = np.zeros(k, dtype=np.intp)
+    carried = np.zeros(k, dtype=np.intp)
+    starts, constraints = [], []
+    for s, (lp, earlier) in enumerate(problems):
+        kept = None if earlier is None else earlier._tableau
+        if kept is not None and kept.fits(lp):
+            T[s], basis[s], at_upper[s], w[s], u[s] = (
+                kept.T, kept.basis, kept.at_upper, kept.weights, kept.u)
+            carried[s] = kept.carried
+            starts.append("tableau")
+            constraints.append(kept.constraints)
+            continue
+        u[s, :n] = lp.hi - lp.lo
+        u[s, n:] = np.inf
+        b = lp.rhs - lp.normals @ lp.lo
+        warm = None if earlier is None else _warm_start(
+            lp.normals, b, u[s], earlier.basis, earlier.at_upper)
+        starts.append("cold" if warm is None else "basis")
+        constraints.append(tuple(a if _frozen(a) else _read_only(a.copy())
+                                 for a in (lp.normals, lp.rhs, lp.lo, lp.hi)))
+        T[s], basis[s], at_upper[s], w[s], pivots[s], flips[s] = (
+            warm if warm is not None else _cold_start(lp.normals, b, u[s]))
+    c = np.array([lp.objective if lp.sense == "max" else -lp.objective
+                  for lp, _ in problems]).reshape(k, n)
+    _price(T, basis, at_upper, u, c)
+    more_pivots, more_flips, order = _run_simplex(T, basis, at_upper, u, w)
+    # From here on every per-program array is read by position in the stack.
+    pivots, flips = pivots[order] + more_pivots, flips[order] + more_flips
+    carried = carried[order] + pivots
+
+    values = T[:, :m, -1]
+    positions = np.arange(k)[:, None]
+    y = np.zeros(u.shape)
+    y[positions, basis] = values
+    lo = np.array([problems[s][0].lo for s in order]).reshape(k, n)
+    hi = np.array([problems[s][0].hi for s in order]).reshape(k, n)
+    x = np.where(at_upper[:, :n], hi, lo + y[:, :n])
+    keep = ((carried < m) & (_min(values, axis=1, initial=np.inf) >= -_TOL)
+            & (np.maximum.reduce(values - u[positions, basis], axis=1, initial=-np.inf)
+               <= _TOL))
+    for a in (T, basis, at_upper, w, u):
+        _read_only(a)
+    bases = basis.tolist()
+    solutions = [None] * k
+    for p, s in enumerate(order.tolist()):
+        lp = problems[s][0]
+        tableau = (_Tableau(T[p], basis[p], at_upper[p], w[p], constraints[s], u[p],
+                            int(carried[p])) if keep[p] else None)
+        solutions[s] = LPSolution(x[p], float(lp.objective @ x[p]), tuple(bases[p]),
+                                  tuple(at_upper[p].nonzero()[0].tolist()),
+                                  int(pivots[p]), int(flips[p]), starts[s], tableau)
+    return solutions
 
 
 def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolution:
@@ -382,44 +594,8 @@ def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolu
     LPUnboundedError
         When the objective is unbounded in the requested direction.
     """
-    n = lp.objective.shape[0]
-    m = lp.rhs.shape[0]
-    c = lp.objective if lp.sense == "max" else -lp.objective
     if basis is not None and not isinstance(basis, LPSolution):
         raise TypeError(f"basis must be an earlier LPSolution, "
                         f"got {type(basis).__name__}")
-    kept = None if basis is None else basis._tableau
-    if kept is not None and kept.fits(lp):
-        T, basic, upper, w = (a.copy() for a in
-                              (kept.T, kept.basis, kept.at_upper, kept.weights))
-        u = kept.u
-        start, pivots, flips, carried = "tableau", 0, 0, kept.carried
-    else:
-        # Upper bounds after the shift y = x - lo: the structural columns,
-        # then the slacks and the artificials a phase 1 may leave basic.
-        u = _read_only(np.concatenate([lp.hi - lp.lo, np.full(2 * m, np.inf)]))
-        b = lp.rhs - lp.normals @ lp.lo
-        warm = None if basis is None else _warm_start(lp.normals, b, u, basis.basis,
-                                                      basis.at_upper)
-        start = "cold" if warm is None else "basis"
-        T, basic, upper, w, pivots, flips = (
-            warm if warm is not None else _cold_start(lp.normals, b, u))
-        carried = 0
-    more_pivots, more_flips = _phase2(T, basic, upper, u, w, c)
-    pivots += more_pivots
-    flips += more_flips
-    carried += pivots
-
-    values = T[:-1, -1]
-    y = np.zeros(u.size)
-    y[basic] = values
-    x = np.where(upper[:n], lp.hi, lp.lo + y[:n])
-    tableau = None
-    if carried < m and values.min() >= -_TOL and (values - u[basic]).max() <= _TOL:
-        constraints = kept.constraints if start == "tableau" else tuple(
-            _read_only(a.copy()) for a in (lp.normals, lp.rhs, lp.lo, lp.hi))
-        tableau = _Tableau(_read_only(T), _read_only(basic), _read_only(upper),
-                           _read_only(w), constraints, u, carried)
-    return LPSolution(x, float(lp.objective @ x), tuple(basic.tolist()),
-                      tuple(np.flatnonzero(upper).tolist()), pivots, flips, start,
-                      tableau)
+    (solution,) = _solve_stack([(lp, basis)])
+    return solution

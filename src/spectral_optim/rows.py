@@ -8,12 +8,12 @@ of F_i maximize and minimize the inner product with a given non-negative
 direction v?  :meth:`ProductFamily.extremes` answers both for every row in one
 call: it validates v once and fills the maximizing and the minimizing matrix.
 
-Finite sets, L1 balls and degree sets each have one kernel, written for a
-stack of k sets of their kind: it finds the best and the worst row of every
-set of the stack at once.  A set's own oracle runs it on a stack of one,
-over views of the set's arrays.  A family runs it once for all of its sets
-where they are of one such kind, chosen by set type when the family is
-made:
+Finite sets, L1 balls, degree sets and halfspace polytopes each have one
+kernel, written for a stack of k sets of their kind: it finds the best and
+the worst row of every set of the stack at once.  A set's own oracle runs
+it on a stack of one, over views of the set's arrays (a polytope through
+:func:`~.lp.lp_optimize`).  A family runs it once for all of its sets where
+they are of one such kind, chosen by set type when the family is made:
 
 * a family of L1 balls copies its centers into one (d, d) array and its
   radii into a column (``apps.stabilization_family`` makes its one copy of
@@ -22,13 +22,18 @@ made:
 * a family from ``gen.generate_random_family`` scans the (d, N, d) block
   whose slices are its finite sets, which the generator hands over with
   the family.  Its copies and pickles are rebuilt from the block, so they
-  scan it too.
+  scan it too;
+* a family of halfspace polytopes solves the LPs of all of its sets in one
+  lockstep simplex per call (see :mod:`.lp`): each step prices every set
+  that can still improve and pivots them all in one update, so a call
+  costs about as many steps as its slowest set, not the sum of them.  Sets
+  of one number of normals share a stack; the batch keeps nothing but the
+  sets, so it costs nothing until the first call.
 
 Every other family (mixed set types, subclasses, finite sets built by hand
 or read from a file) runs the kernels one set at a time, with the same
-results to the last bit.  A family
-of L1 balls also tests a matrix's membership in one pass.  The kernels are
-exact:
+results to the last bit.  A family of L1 balls also tests a matrix's
+membership in one pass.  The kernels are exact:
 
 * :class:`FiniteSet` scans an explicit list of rows: one product ``rows @ v``
   gives both the argmax and the argmin.  A v whose largest component is
@@ -43,18 +48,21 @@ exact:
   from the most expensive coordinates first.
 * :class:`HalfspacePoly` is a polytope cut from the unit box by non-negative
   halfspaces; the maximum is a small LP solved to a vertex, and the minimum
-  is the origin.  The set builds and validates its constraints once, on its
-  first solve; each solve copies that program with v as the objective.  The
-  set keeps its last :class:`~.lp.LPSolution`, and the next solve
+  is the origin.  The set builds and validates its constraints once, on
+  its first solve; each solve copies that program with v as the objective.
+  The set keeps its last :class:`~.lp.LPSolution`, and the next solve
   warm-starts from it: only v changes, so its optimal tableau is repriced
   for the new v and pivoted on, with no linear solve.  The LP checks that
-  the constraints are identical before it reuses the tableau, and
+  the constraints are identical before it reuses the tableau: by identity
+  when the normals are read-only all the way down, as the generator makes
+  them (the box and right-hand sides always are), so that no copy of them
+  is kept; else by content, against a copy kept with the tableau.  It
   refactorizes from the basis once the tableau has been carried through as
-  many pivots as it has rows, or shows a basic value outside its bounds (see
-  :mod:`.lp`).  The unit box is variable bounds there, not rows, so the kept
-  tableau costs (m + 1)(m + d + 1) floats for m normals: 31 KB at d=25,
-  m=50.  The LP runs on every visit, so selecting the minimum alone also
-  solves it and moves the warm start.
+  many pivots as it has rows, or shows a basic value outside its bounds
+  (see :mod:`.lp`).  The unit box is variable bounds there, not
+  rows, so the kept tableau costs (m + 1)(m + d + 1) floats for m normals:
+  31 KB at d=25, m=50.  The LP runs on every visit, so selecting the
+  minimum alone also solves it and moves the warm start.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
   positive orthant, with a closed-form touching point; one scaled direction
   gives both extremes.
@@ -81,7 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _check_entries, check_count, check_vector
-from .lp import LinearProgram, LPSolution, lp_optimize
+from .lp import LinearProgram, LPSolution, _solve_stack, lp_optimize
 
 __all__ = [
     "RowSet",
@@ -282,7 +290,10 @@ class L1Ball(RowSet):
 
 @dataclass(frozen=True, eq=False)
 class HalfspacePoly(RowSet):
-    """{x : 0 <= x <= 1, (normal_j, x) <= 1 for every j} with normals >= 0."""
+    """{x : 0 <= x <= 1, (normal_j, x) <= 1 for every j} with normals >= 0.
+
+    Normals that are read-only all the way down (``gen`` makes them so) let
+    a kept tableau be checked against them by identity; see :mod:`.lp`."""
 
     normals: np.ndarray
     _lp: LinearProgram | None = field(default=None, init=False, repr=False)
@@ -299,7 +310,8 @@ class HalfspacePoly(RowSet):
     def d(self) -> int:
         return self.normals.shape[1]
 
-    def _extremes(self, obj):
+    def _program(self, v: np.ndarray) -> LinearProgram:
+        """The set's program with objective v."""
         if self._lp is None:
             # Built and validated on the first solve, not with the set; the
             # constant rhs and box are read-only.  Two threads may both
@@ -311,12 +323,15 @@ class HalfspacePoly(RowSet):
             object.__setattr__(self, "_lp", LinearProgram(
                 objective=np.zeros(d), normals=self.normals, rhs=rhs, lo=lo, hi=hi))
         lp = copy.copy(self._lp)
-        lp.objective = obj.v
+        lp.objective = v
+        return lp
+
+    def _extremes(self, obj):
         # Only v changes between calls, so the last solution's optimal
         # tableau stays feasible and warm-starts the next solve.  The
         # solution is immutable, its tableau read-only and copied on use, and
         # it is replaced whole, so concurrent callers share no mutable state.
-        sol = lp_optimize(lp, basis=self._last)
+        sol = lp_optimize(self._program(obj.v), basis=self._last)
         object.__setattr__(self, "_last", sol)
         # v >= 0 and the origin is feasible, so it attains the minimum.
         return np.maximum(sol.x, 0.0), np.zeros(self.d)
@@ -475,9 +490,36 @@ class _DegreeBatch:
         return up, down
 
 
+class _PolyBatch:
+    """Halfspace polytopes, solved by one lockstep simplex per call (see
+    :mod:`.lp`): each set's program with objective v, warm-started from the
+    set's own last solution, which the call then replaces.  The minimum is
+    the origin."""
+
+    __slots__ = ("sets",)
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def __len__(self):
+        return len(self.sets)
+
+    def extremes(self, obj):
+        v = obj.v
+        up = np.empty((len(self.sets), v.shape[0]))
+        # Each set's last solution is read as its chunk is formed and
+        # replaced as soon as it is solved, so a call holds at most about two
+        # chunks beside the kept tableaux.
+        solved = _solve_stack((rs._program(v), rs._last) for rs in self.sets)
+        for i, (rs, sol) in enumerate(zip(self.sets, solved)):
+            object.__setattr__(rs, "_last", sol)
+            np.maximum(sol.x, 0.0, out=up[i])
+        return up, np.zeros_like(up)
+
+
 def _batch_of(sets):
-    """One batch kernel for a family of L1 balls only or of degree sets
-    only, else None."""
+    """One batch kernel for a family of L1 balls only, of degree sets only
+    or of halfspace polytopes only, else None."""
     kind = type(sets[0])
     if any(type(rs) is not kind for rs in sets):
         return None
@@ -486,6 +528,8 @@ def _batch_of(sets):
     if kind is L1Ball:
         return _L1Batch(np.array([rs.center for rs in sets]),
                         np.array([[rs.radius] for rs in sets]))
+    if kind is HalfspacePoly:
+        return _PolyBatch(sets)
     return None
 
 
@@ -512,7 +556,7 @@ class ProductFamily:
     sets: tuple[RowSet, ...]
     # One batch kernel for the whole family, found from the sets unless a
     # private constructor (_finite_family, _l1_family) hands one over.
-    _batch: _FiniteBatch | _L1Batch | _DegreeBatch | None = field(
+    _batch: _FiniteBatch | _L1Batch | _DegreeBatch | _PolyBatch | None = field(
         default=None, repr=False, kw_only=True)
 
     def __post_init__(self):

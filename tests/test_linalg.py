@@ -194,13 +194,23 @@ def test_bounds_solve_one_lp_per_polytope_row(monkeypatch):
 
     rows_module = importlib.import_module("spectral_optim.rows")
     solved = []
-    real = rows_module.lp_optimize
+    real, real_stack = rows_module.lp_optimize, rows_module._solve_stack
 
     def spy(lp, *args, **kwargs):
         solved.append(lp.objective.tobytes())
         return real(lp, *args, **kwargs)
 
+    def spy_stack(problems):
+        def seen():
+            for lp, earlier in problems:
+                solved.append(lp.objective.tobytes())
+                yield lp, earlier
+        return real_stack(seen())
+
+    # A set solves alone through lp_optimize, a family of polytopes as one
+    # stack: count the programs of both.
     monkeypatch.setattr(rows_module, "lp_optimize", spy)
+    monkeypatch.setattr(rows_module, "_solve_stack", spy_stack)
     rng = np.random.default_rng(115)
     d = 5
     family = ProductFamily(tuple(HalfspacePoly(rng.random((6, d)) / 2.0)
@@ -590,6 +600,42 @@ def test_a_lift_that_underflows_is_not_squared():
     # Past its budget, that power stage cannot square on.
     with pytest.raises(PowerIterationError, match="double range"):
         selected_eigenpair(A, PowerConfig(max_iters=2))
+
+
+def test_power_stage_normalizes_iterates_near_the_double_limit():
+    # Squaring entries near 1e300 overflows a plain norm: each iterate is
+    # scaled by the power of two of its largest entry before its norm is
+    # taken.  The 80 rows put the matrix on the power path.
+    import warnings
+
+    from spectral_optim.linalg import _power_vector
+
+    A = np.random.default_rng(40).random((80, 80))
+    tight = PowerConfig(eps=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = selected_eigenpair(1e300 * A, tight)
+        default = selected_eigenpair(1e300 * A)
+    small = selected_eigenpair(A, tight)
+    assert big.path == small.path == default.path == "power"
+    assert big.rho == pytest.approx(1e300 * small.rho, rel=1e-12)
+    assert np.max(np.abs(big.v - small.v)) <= 1e-12
+    # At the default eps the stages on 1e300 A + I and on A + I stop at
+    # different iterates, each within eps of the limit.
+    assert default.rho == pytest.approx(1e300 * small.rho, rel=1e-8)
+    # In range the scaling is exact: the plain normalization to the bit.
+    B = A + np.eye(80)
+    x = np.full(80, 1.0 / np.sqrt(80.0))
+    for k in range(1, 100):
+        y = B @ x
+        y /= float(np.linalg.norm(y))
+        if float(np.max(np.abs(y - x))) <= 1e-13:
+            break
+        x = y
+    v, iters, done = _power_vector(lambda z: B @ z, np.full(80, 1.0 / np.sqrt(80.0)),
+                                   1e-13, 100)
+    assert done and iters == k
+    assert v.tobytes() == y.tobytes()
 
 
 def test_classes_match_the_closure_oracle_sinks_first():

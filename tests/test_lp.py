@@ -87,8 +87,8 @@ def test_validation():
 
 
 def test_pivot_matches_the_row_loop_bit_for_bit():
-    # The rank-1 update must do each row's arithmetic exactly as the
-    # row-by-row elimination it replaced.
+    # The rank-1 update of a stack must do each row's arithmetic exactly as
+    # the row-by-row elimination of each tableau alone.
     from spectral_optim.lp import _pivot
 
     def loop_pivot(T, basis, row, col):
@@ -99,15 +99,16 @@ def test_pivot_matches_the_row_loop_bit_for_bit():
         basis[row] = col
 
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        T = rng.normal(size=(6, 9))
+    for k in range(1, 21):
+        T = rng.normal(size=(k, 6, 9))
         T[rng.random(T.shape) < 0.3] = 0.0
-        row, col = int(rng.integers(5)), int(rng.integers(8))
-        T[row, col] = rng.uniform(0.5, 2.0)
+        row, col = rng.integers(5, size=k), rng.integers(8, size=k)
+        T[np.arange(k), row, col] = rng.uniform(0.5, 2.0, size=k)
         got, want = T.copy(), T.copy()
-        b_got, b_want = np.arange(5), np.arange(5)
+        b_got, b_want = np.tile(np.arange(5), (k, 1)), np.tile(np.arange(5), (k, 1))
         _pivot(got, b_got, row, col)
-        loop_pivot(want, b_want, row, col)
+        for s in range(k):
+            loop_pivot(want[s], b_want[s], row[s], col[s])
         assert np.array_equal(got, want)
         assert np.array_equal(b_got, b_want)
 

@@ -417,13 +417,23 @@ def test_extremes_run_the_same_lp_sequence_as_best_row(monkeypatch):
 
     rows_module = importlib.import_module("spectral_optim.rows")
     solved = []
-    real = rows_module.lp_optimize
+    real, real_stack = rows_module.lp_optimize, rows_module._solve_stack
 
     def spy(lp, *args, **kwargs):
         solved.append(lp.objective.tobytes())
         return real(lp, *args, **kwargs)
 
+    def spy_stack(problems):
+        def seen():
+            for lp, earlier in problems:
+                solved.append(lp.objective.tobytes())
+                yield lp, earlier
+        return real_stack(seen())
+
+    # The family solves its sets as one stack, a set alone through
+    # lp_optimize: count the programs of both.
     monkeypatch.setattr(rows_module, "lp_optimize", spy)
+    monkeypatch.setattr(rows_module, "_solve_stack", spy_stack)
     rng = np.random.default_rng(112)
     d = 6
     normals = [rng.random((8, d)) / 2.0 for _ in range(d)]
