@@ -11,17 +11,19 @@ Two problems reduce directly to product-family optimization:
   infinity norm) must one move to make the spectral radius cross a target?
   For a fixed radius r the reachable matrices form a product family of
   L1 balls centered at the rows of A; the minimal (or maximal) spectral
-  radius over that family is monotone in r, so the critical radius is found
-  by bisection with one inner optimization per evaluation.
+  radius over that family is monotone in r, so the critical radius is the
+  root of a monotone function, found by a guarded Illinois regula falsi
+  (:func:`_root_search`) with one inner optimization per evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_count, check_matrix
+from .linalg import check_count, check_matrix, selected_eigenpair
 from .optimize import OptimizationResult, OptimizerConfig, optimize
 from .rows import GraphDegreeSet, ProductFamily, _l1_family
 
@@ -69,13 +71,18 @@ def degree_family(spec: DegreeSpec) -> ProductFamily:
     return ProductFamily(tuple(GraphDegreeSet(d, n, sense) for n in spec.degrees))
 
 
-def selective_greedy(family: ProductFamily, cfg: OptimizerConfig,
-                     initial_matrix=None) -> OptimizationResult:
-    """The inner run of every application: :func:`~.optimize.optimize` with
-    selective greedy.  A config naming another method is refused, not
+def _check_method(cfg: OptimizerConfig) -> None:
+    """A config naming another method than selective greedy is refused, not
     rewritten."""
     if cfg.method != "selective-greedy":
         raise ValueError(f"selective_greedy cannot run method {cfg.method!r}")
+
+
+def selective_greedy(family: ProductFamily, cfg: OptimizerConfig,
+                     initial_matrix=None) -> OptimizationResult:
+    """The inner run of every application: :func:`~.optimize.optimize` with
+    selective greedy."""
+    _check_method(cfg)
     return optimize(family, cfg, initial_matrix=initial_matrix)
 
 
@@ -96,7 +103,8 @@ def optimize_graph(spec: DegreeSpec,
 class StabilizationProblem:
     """Move a non-negative matrix's spectral radius across ``target``.
 
-    ``r_tol`` is the bisection tolerance on the critical radius.
+    ``r_tol`` is the root search's tolerance on the critical radius: the
+    final bracket is at most this wide.
     """
 
     A: np.ndarray
@@ -129,39 +137,74 @@ def _clip_to_radius(X: np.ndarray, A: np.ndarray, radius: float) -> np.ndarray:
     return np.maximum(Y, 0.0)
 
 
-def _radius(A: np.ndarray, cfg: OptimizerConfig) -> float:
-    """rho(A), read by the optimizer on the one-member family {A}.  A
-    minimization never enters the reducibility retry."""
-    return selective_greedy(stabilization_family(A, 0.0),
-                            replace(cfg, direction="min"), initial_matrix=A).rho
+def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: float,
+                 signed, cfg: OptimizerConfig, r_tol: float):
+    """Shrink [0, hi] to at most r_tol around the root of y(r) = signed(rho
+    of the best member at r); y <= 0 accepts r.  Returns (X, hi) with hi
+    accepted and X the member found there.
 
-
-def _bisect(A: np.ndarray, lo: float, hi: float, X_hi: np.ndarray,
-            accept, cfg: OptimizerConfig, r_tol: float):
-    """Shrink [lo, hi] keeping accept(rho(best at hi)) true; returns (X, hi).
-    Each inner run starts from the previous optimum clipped into its ball."""
+    y_lo > 0 >= y_hi are the values at the ends.  Each step warm-starts one
+    inner run from the previous optimum clipped into its ball.  The first
+    two steps bisect, and so does every step after two that did not halve
+    the bracket.  Every other step takes the regula falsi point, with the
+    Illinois rule (the value of an end kept twice in a row is halved),
+    moves it r_tol/2 toward the end that did not move last, so that the
+    next step lands past the root, and clamps it r_tol/4 inside the
+    bracket.  y(r) is exactly 0 past the radius where the ball holds a
+    nilpotent member: the opening bisections and the nudge keep that flat
+    tail from stalling the interpolation on one side.  Last, the ITP guard
+    (Oliveira & Takahashi, ACM TOMS 47, 2021) holds x within
+    (r_tol/2) 2^(n_max - j) - (hi - lo)/2 of the midpoint at step j, so the
+    search takes at most n_max = ceil(log2(hi / r_tol)) + 2 steps, two
+    more than bisection, whatever the shape of y.
+    """
+    lo = 0.0
+    n_max = math.ceil(math.log2(hi / r_tol)) + 2 if hi > r_tol else 0
     X_prev = X_hi
+    moved = None                    # the end the last step moved
+    before = (math.inf, math.inf)   # bracket widths before the last two steps
+    j = 0
     while hi - lo > r_tol:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        res = selective_greedy(stabilization_family(A, mid), cfg,
-                               initial_matrix=_clip_to_radius(X_prev, A, mid))
-        X_prev = res.matrix
-        if accept(res.rho):
-            hi, X_hi = mid, res.matrix
+        # Interpolate only across a strict fall of y: y_lo > 0 >= y_hi,
+        # short of an underflow of y_lo or rounding at the far end.
+        if j < 2 or width > 0.5 * before[0] or not y_lo > y_hi:
+            x = mid
         else:
-            lo = mid
+            x = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
+            x += -0.5 * r_tol if moved == "hi" else 0.5 * r_tol
+            x = min(max(x, lo + 0.25 * r_tol), hi - 0.25 * r_tol)
+            reach = max(math.ldexp(0.5 * r_tol, n_max - j) - 0.5 * width, 0.0)
+            x = min(max(x, mid - reach), mid + reach)
+        res = selective_greedy(stabilization_family(A, x), cfg,
+                               initial_matrix=_clip_to_radius(X_prev, A, x))
+        X_prev = res.matrix
+        y = signed(res.rho)
+        if y <= 0.0:
+            if moved == "hi":
+                y_lo *= 0.5
+            hi, y_hi, X_hi, moved = x, y, res.matrix, "hi"
+        else:
+            if moved == "lo":
+                y_hi *= 0.5
+            lo, y_lo, moved = x, y, "lo"
+        before = (before[1], width)
+        j += 1
     return X_hi, hi
 
 
-def _closest(problem: StabilizationProblem, config: OptimizerConfig | None,
-             direction: str, hi: float, X_hi: np.ndarray, accept):
-    """(A, 0) when rho(A) passes ``accept``, else the bisection on [0, hi]
-    from X_hi, a member of the ball of radius hi that passes it."""
+def _closest(problem: StabilizationProblem, cfg: OptimizerConfig, hi: float,
+             X_hi: np.ndarray, rho_hi: float, signed):
+    """(A, 0) when signed(rho(A)) <= 0, else the root search on [0, hi]
+    from X_hi, a member of the ball of radius hi with radius rho_hi and
+    signed(rho_hi) <= 0."""
+    _check_method(cfg)
     A = problem.A
-    cfg = replace(config or OptimizerConfig(), direction=direction)
-    if accept(_radius(A, cfg)):
+    y_lo = signed(selected_eigenpair(A, cfg.power).rho)
+    if y_lo <= 0.0:
         return A.copy(), 0.0
-    return _bisect(A, 0.0, hi, X_hi, accept, cfg, problem.r_tol)
+    return _root_search(A, hi, X_hi, y_lo, signed(rho_hi), signed, cfg, problem.r_tol)
 
 
 def closest_stable(problem: StabilizationProblem,
@@ -171,11 +214,13 @@ def closest_stable(problem: StabilizationProblem,
 
     Returns (X, r_star) with X non-negative, ||X - A||_inf <= r_star, and
     rho(X) <= target.  If A is already within target the answer is (A, 0).
-    The zero matrix brackets the radius at A's largest row sum.
+    The zero matrix, of radius exactly 0, brackets the radius at A's
+    largest row sum.
     """
     A = problem.A
-    return _closest(problem, config, "min", float(np.max(A.sum(axis=1))),
-                    np.zeros_like(A), lambda rho: rho <= problem.target)
+    cfg = replace(config or OptimizerConfig(), direction="min")
+    return _closest(problem, cfg, float(np.max(A.sum(axis=1))), np.zeros_like(A), 0.0,
+                    lambda rho: rho - problem.target)
 
 
 def closest_unstable(problem: StabilizationProblem,
@@ -187,7 +232,9 @@ def closest_unstable(problem: StabilizationProblem,
     radius is well-defined under floating point.  A with ``target`` added
     to entry (0, 0), of radius at least ``target``, brackets it at ``target``.
     """
+    cfg = replace(config or OptimizerConfig(), direction="max")
     X_hi = problem.A.copy()
     X_hi[0, 0] += problem.target
-    return _closest(problem, config, "max", problem.target, X_hi,
-                    lambda rho: rho >= problem.target - 1e-6)
+    return _closest(problem, cfg, problem.target, X_hi,
+                    selected_eigenpair(X_hi, cfg.power).rho,
+                    lambda rho: (problem.target - 1e-6) - rho)

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``optimize``    run a method on a family file, print rho/status/bounds
 * ``graph``       extremal graph spectral radius for prescribed degrees
-* ``stabilize``   closest stable matrix by bisection
+* ``stabilize``   closest stable matrix by a root search on the radius
 * ``bench``       benchmark sweep over random families
 * ``demo-cycling``  the greedy-cycles-vs-selective-succeeds demonstration
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .apps import DegreeSpec, StabilizationProblem, _radius, closest_stable, optimize_graph
-from .linalg import PowerConfig
+from .apps import DegreeSpec, StabilizationProblem, closest_stable, optimize_graph
+from .linalg import PowerConfig, selected_eigenpair
 from .demo import run_cycling_demo
 from .optimize import _METHODS, OptimizerConfig, optimize
 
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=1.0,
                    help="spectral radius target (default 1.0)")
     p.add_argument("--rtol", type=float, default=1e-6,
-                   help="bisection tolerance on the radius (default 1e-6)")
+                   help="root-search tolerance on the radius (default 1e-6)")
     p.add_argument("--out", help="write the stabilized matrix (JSON) here")
 
     p = sub.add_parser("bench", help="benchmark sweep over random families")
@@ -135,7 +135,7 @@ def _cmd_graph(args) -> int:
 def _cmd_stabilize(args) -> int:
     A = io_mod.load_matrix(args.matrix)
     X, r_star = closest_stable(StabilizationProblem(A, args.target, args.rtol))
-    rho_x = _radius(X, OptimizerConfig())
+    rho_x = selected_eigenpair(X).rho
     print(f"r = {_num(r_star)}")
     print(f"rho = {_num(rho_x)}")
     if args.out:

@@ -23,7 +23,8 @@ The radius is always read off A itself, at the returned vector.
   drift between tied classes, such as a Jordan chain coupled at 1e-10 of
   its diagonal) takes one of the two other paths, like a larger one; so
   does one whose scaling zeroes a positive entry (entries spanning more
-  than the double range).
+  than the double range), and one whose square leaves the normal double
+  range (a nilpotent A of high index, whose squares underflow), at once.
 * *Power.*  A larger irreducible A (every vertex of its support graph
   reaches vertex 0 and is reached from it) runs power iteration on A + I
   from the all-ones direction.
@@ -50,8 +51,8 @@ A power stage, on A + I or on a class block, that runs through its budget
 (``PowerConfig.max_iters``) continues by squaring from its last iterate,
 without the zero rule where the limit is positive (a class block, an
 irreducible A).  Only such a squaring that does not settle within 64
-squarings, or a stage whose scaling would zero an entry, raises
-:class:`PowerIterationError`.
+squarings or whose square leaves the normal double range, or a stage whose
+scaling would zero an entry, raises :class:`PowerIterationError`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ _SQUARING_ROWS = 64
 # after _MAX_SQUARINGS squarings, the 2^64-th power.
 _SQUARING_TOL = 1e-12
 _MAX_SQUARINGS = 64
+# A square whose largest row sum falls below the smallest normal double
+# has vanished: its scale factor would overflow.
+_TINY = np.finfo(float).tiny
 # Default power-step budget per row of the matrix or block.
 _POWER_STEPS_PER_ROW = 3
 
@@ -103,6 +107,16 @@ class PowerIterationError(RuntimeError):
     def __init__(self, message: str, last_iterate: np.ndarray | None = None):
         super().__init__(message)
         self.last_iterate = last_iterate
+
+
+class _SquareVanished(PowerIterationError):
+    """A square's largest row sum left the normal range (underflow to 0 or
+    below the smallest normal, or overflow) at squaring ``squarings``."""
+
+    def __init__(self, squarings: int, last: np.ndarray):
+        super().__init__(f"square {squarings} of the lifted matrix left the double range "
+                         f"(d={last.shape[0]})", last_iterate=last / np.linalg.norm(last))
+        self.squarings = squarings
 
 
 @dataclass(frozen=True)
@@ -275,7 +289,8 @@ def _squared_vector(B: np.ndarray, x: np.ndarray | None = None, zeros: bool = Tr
     more on a Jordan chain.  The rule: a component of u at most 3/4 of its
     value in w is 0.  v is u, its largest component 1.  ``zeros=False`` skips the rule, for B
     irreducible, whose limit is positive: there a live component can
-    still be falling from a start x near the limit.
+    still be falling from a start x near the limit.  A square whose largest
+    row sum leaves the normal double range raises :class:`_SquareVanished`.
     """
     # The ufuncs' own reductions: the array methods add a Python wrapper
     # to each of the loop's few-microsecond calls.
@@ -287,6 +302,11 @@ def _squared_vector(B: np.ndarray, x: np.ndarray | None = None, zeros: bool = Tr
         B = B @ B
         rows = add(B, 1)
         largest = top(rows)
+        if not _TINY <= largest < math.inf:
+            # A nilpotent part that dominates every power squares toward
+            # 0 (a shift chain of 16 rows underflows at its 45th square):
+            # no later square holds a vector.
+            raise _SquareVanished(j, prev)
         B *= math.ldexp(1.0, -math.frexp(largest)[1])
         if x is None:
             z = rows / largest
@@ -557,8 +577,10 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
       exactly 0.0, and ``selected_eigenpair(2.0**k * A).v`` is bit-equal to
       ``selected_eigenpair(A).v``.  One whose squaring does not settle
       within 64 squarings takes the next two paths, like a larger A, and
-      counts the 64 in ``squarings``; so does one whose scaling would zero
-      a positive entry, without squaring;
+      counts the 64 in ``squarings``; so does one whose square leaves the
+      normal double range, at once, counting the squarings taken (a
+      nilpotent A of high index), and one whose scaling would zero a
+      positive entry, without squaring;
     * ``power`` for a larger irreducible A, tested by forward and backward
       reachability from vertex 0, and for a larger reducible A with several
       basic classes of top height;
@@ -594,6 +616,9 @@ def selected_eigenpair(A, config: PowerConfig | None = None) -> Eigenpair:
     if B is not None:
         try:
             v, squarings = _squared_vector(B)
+        except _SquareVanished as err:
+            # A nilpotent A of high index: the classes give rho exactly 0.
+            squarings = err.squarings
         except PowerIterationError:
             # A slow drift between tied classes, such as a Jordan chain
             # coupled at 1e-10 of its diagonal: the classes settle it.

@@ -432,3 +432,49 @@ def fixture_rows():
 # eigensolver / direct arithmetic before the library existed.
 STAB_DEMO_RHO = 9.139124933985238
 STAB_REFERENCE_DISTANCE = 8.0
+
+
+# ---------------------------------------------------------------------------
+# critical radius by plain bisection
+
+
+def bisection_radius(A, target, direction, r_tol=1e-6):
+    """Critical stabilization radius by plain bisection, the reference for
+    the library's root search.  ``direction='min'`` is closest_stable
+    (accept rho <= target, bracket at the largest row sum with the zero
+    matrix), ``'max'`` closest_unstable (accept rho >= target - 1e-6,
+    bracket at target with target added to entry (0, 0)).  Each midpoint
+    runs one optimization warm-started from the previous optimum scaled
+    back into its ball, row by row.  Returns the accepted end of the final
+    bracket, or 0.0 when A itself is accepted."""
+    from spectral_optim import OptimizerConfig, optimize
+    from spectral_optim.apps import stabilization_family
+
+    A = np.asarray(A, dtype=float)
+    if direction == "min":
+        def accept(rho):
+            return rho <= target
+        hi, X = float(A.sum(axis=1).max()), np.zeros_like(A)
+    else:
+        def accept(rho):
+            return rho >= target - 1e-6
+        hi, X = float(target), A.copy()
+        X[0, 0] += target
+    if accept(eig_rho(A)):
+        return 0.0
+    cfg = OptimizerConfig(direction=direction)
+    lo = 0.0
+    while hi - lo > r_tol:
+        mid = 0.5 * (lo + hi)
+        start = X.copy()
+        total = np.abs(X - A).sum(axis=1)
+        out = total > mid
+        start[out] = A[out] + (X - A)[out] * (mid / total[out])[:, None]
+        start = np.maximum(start, 0.0)
+        res = optimize(stabilization_family(A, mid), cfg, initial_matrix=start)
+        X = res.matrix
+        if accept(res.rho):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -6,11 +6,14 @@ stabilization example are checked against the radii recomputed by the dense
 eigenvalue oracle in oracles.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import STAB_DEMO_RHO, STAB_REFERENCE_DISTANCE, eig_rho
+from oracles import STAB_DEMO_RHO, STAB_REFERENCE_DISTANCE, bisection_radius, eig_rho
 
+from spectral_optim import apps
 from spectral_optim.apps import (
     DegreeSpec,
     StabilizationProblem,
@@ -20,9 +23,10 @@ from spectral_optim.apps import (
     optimize_graph,
     stabilization_family,
 )
-from spectral_optim.optimize import OptimizerConfig
+from spectral_optim.linalg import selected_eigenpair
+from spectral_optim.optimize import OptimizerConfig, optimize
 from spectral_optim.rows import GraphDegreeSet, L1Ball
-from spectral_optim import demo
+from spectral_optim import demo, gen
 
 
 # -------------------------------------------------------------------- graphs
@@ -113,7 +117,7 @@ def test_stabilization_problem_validation():
 
 
 def test_stabilization_problem_refuses_an_infinite_r_tol():
-    # An infinite tolerance would skip the bisection and return the bracket
+    # An infinite tolerance would skip the root search and return the bracket
     # top (r = 3 for this matrix, whose critical radius is 2).
     with pytest.raises(ValueError, match="r_tol must be finite"):
         StabilizationProblem(np.array([[2.0, 1.0], [1.0, 2.0]]), r_tol=np.inf)
@@ -195,6 +199,16 @@ def test_closest_unstable_refuses_another_method():
                          OptimizerConfig(method="simplex-pivot"))
 
 
+def test_another_method_is_refused_where_no_optimization_runs():
+    # A itself passes, so neither search runs an inner optimization.
+    with pytest.raises(ValueError, match="cannot run method 'simplex-pivot'"):
+        closest_stable(StabilizationProblem(np.array([[0.5]])),
+                       OptimizerConfig(method="simplex-pivot"))
+    with pytest.raises(ValueError, match="cannot run method 'simplex-pivot'"):
+        closest_unstable(StabilizationProblem(np.array([[2.0]])),
+                         OptimizerConfig(method="simplex-pivot"))
+
+
 def test_closest_unstable_returns_input_when_already_unstable():
     A = np.array([[2.0]])
     X, r = closest_unstable(StabilizationProblem(A))
@@ -202,7 +216,7 @@ def test_closest_unstable_returns_input_when_already_unstable():
     np.testing.assert_array_equal(X, A)
 
 
-# The bisection's closed-form brackets: the zero matrix at the largest row
+# The root search's closed-form brackets: the zero matrix at the largest row
 # sum for closest_stable, and A + target e0 e0^T at target for
 # closest_unstable.
 
@@ -308,3 +322,88 @@ def test_batched_families_optimize_as_their_per_set_copies():
             assert family._batch is not None and per_set._batch is None
             cfg = OptimizerConfig(direction=direction)
             _assert_same_result(optimize(family, cfg), optimize(per_set, cfg))
+
+
+# ------------------------------------------------------------ the root search
+
+CIRCULANT = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
+
+
+def _sparse_100():
+    fam = gen.generate_random_family(100, 1, (0.09, 0.15), seed=0)
+    return np.vstack([rs.rows[0] for rs in fam.sets])
+
+
+@pytest.fixture
+def inner_runs(monkeypatch):
+    """The radii of the inner optimizations, spied on the module-level
+    name every stabilization step calls."""
+    radii = []
+    inner = apps.selective_greedy
+
+    def spy(family, *args, **kwargs):
+        radii.append(family.sets[0].radius)
+        return inner(family, *args, **kwargs)
+
+    monkeypatch.setattr(apps, "selective_greedy", spy)
+    return radii
+
+
+def _search_bound(hi, r_tol=1e-6):
+    """Bisection's step count on [0, hi], plus the two the guard allows."""
+    return math.ceil(math.log2(hi / r_tol)) + 2
+
+
+def _small_problems():
+    """30 random small matrices, each with a target that its radius
+    crosses for both directions: (A, stable target, unstable target)."""
+    rng = np.random.default_rng(2025)
+    out = []
+    for _ in range(30):
+        d = int(rng.integers(2, 9))
+        A = rng.random((d, d)) * (rng.random((d, d)) < 0.6)
+        A[0, -1] += 0.5   # never nilpotent
+        rho = eig_rho(A)
+        out.append((A, float(rng.uniform(0.2, 0.8)) * rho, float(rng.uniform(1.2, 3.0)) * rho))
+    return out
+
+
+def test_radius_of_A_is_the_one_member_optimum_bit_for_bit():
+    # rho(A) reads selected_eigenpair directly: the one-member family's
+    # optimization returns its first pass's eigen call.
+    for A in (demo.unstable_demo_matrix(), _sparse_100(), JORDAN):
+        want = optimize(stabilization_family(A, 0.0), OptimizerConfig(direction="min"),
+                        initial_matrix=A).rho
+        assert selected_eigenpair(A).rho == want
+
+
+def test_demo_and_sparse_stabilizations_take_few_inner_runs(inner_runs):
+    for A in (demo.unstable_demo_matrix(), _sparse_100()):
+        inner_runs.clear()
+        _, r = closest_stable(StabilizationProblem(A))
+        # Plain bisection took 25 and 24.
+        assert 0 < len(inner_runs) <= 12
+        assert r in inner_runs
+
+
+def test_root_search_stays_within_the_guard_on_random_inputs(inner_runs):
+    for A, low, high in _small_problems():
+        inner_runs.clear()
+        _, r = closest_stable(StabilizationProblem(A, target=low))
+        assert len(inner_runs) <= _search_bound(float(A.sum(axis=1).max()))
+        assert abs(r - bisection_radius(A, low, "min")) <= 1e-6
+        inner_runs.clear()
+        _, r = closest_unstable(StabilizationProblem(A, target=high))
+        assert len(inner_runs) <= _search_bound(high)
+        assert abs(r - bisection_radius(A, high, "max")) <= 1e-6
+
+
+@pytest.mark.parametrize("A, target, fn, direction", [
+    (demo.unstable_demo_matrix(), 1.0, closest_stable, "min"),
+    (JORDAN, 1.0, closest_stable, "min"),
+    (JORDAN, 5.0, closest_unstable, "max"),
+    (CIRCULANT, 1.0, closest_stable, "min"),
+], ids=["criterion-4", "jordan-stable", "jordan-unstable", "circulant"])
+def test_root_search_matches_plain_bisection(A, target, fn, direction):
+    _, r = fn(StabilizationProblem(A, target=target))
+    assert abs(r - bisection_radius(A, target, direction)) <= 1e-6

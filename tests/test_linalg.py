@@ -395,6 +395,17 @@ def test_nilpotent_matrix_has_radius_exactly_zero(scale):
     assert pair.v.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("d", [8, 15, 16, 17, 24, 32, 48, 64])
+def test_shift_chain_squares_to_radius_zero_without_a_nan(d):
+    # The squares of a long chain underflow toward 0 (from 16 rows on,
+    # they reach it); the squaring stops there, at no 0/0 (the suite runs
+    # RuntimeWarnings as errors), and the classes give rho exactly 0.
+    pair = selected_eigenpair(np.diag(np.ones(d - 1), 1))
+    assert pair.rho == 0.0
+    assert pair.squarings < 64
+    assert pair.v.tolist() == [1.0] + [0.0] * (d - 1)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-9])
 def test_structural_path_on_jordan_and_nilpotent_blocks(scale):
     # The same two matrices above the squaring limit: the classes give the
