@@ -104,7 +104,11 @@ class StabilizationProblem:
     """Move a non-negative matrix's spectral radius across ``target``.
 
     ``r_tol`` is the root search's tolerance on the critical radius: the
-    final bracket is at most this wide.
+    final bracket is at most this wide, or is two adjacent doubles where
+    ``r_tol`` is below their spacing.  The search takes at most n_max =
+    ceil(log2(h / r_tol)) + 2 inner optimizations, h the far end of the
+    first bracket (A's largest row sum for :func:`closest_stable`,
+    ``target`` for :func:`closest_unstable`).
     """
 
     A: np.ndarray
@@ -154,17 +158,25 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
     nilpotent member: the opening bisections and the nudge keep that flat
     tail from stalling the interpolation on one side.  Last, the ITP guard
     (Oliveira & Takahashi, ACM TOMS 47, 2021) holds x within
-    (r_tol/2) 2^(n_max - j) - (hi - lo)/2 of the midpoint at step j, so the
-    search takes at most n_max = ceil(log2(hi / r_tol)) + 2 steps, two
-    more than bisection, whatever the shape of y.
+    (aim/2) 2^(n_max - j) - (hi - lo)/2 of the midpoint at step j, with
+    n_max = ceil(log2(hi / r_tol)) + 2, two steps more than bisection, and
+    aim = r_tol less four units in the last place of hi.  In exact
+    arithmetic that leaves a bracket at most aim wide after n_max steps,
+    whatever the shape of y; the rounding of the midpoints adds less than
+    two units, so the bracket is then at most r_tol wide.  The loop takes
+    at most n_max steps, and stops before once the bracket is r_tol wide
+    or no double lies strictly inside it.  (An r_tol within four units of
+    hi gives aim <= 0: every step bisects.)
     """
     lo = 0.0
     n_max = math.ceil(math.log2(hi / r_tol)) + 2 if hi > r_tol else 0
+    aim = r_tol - 4.0 * math.ulp(hi)
     X_prev = X_hi
     moved = None                    # the end the last step moved
     before = (math.inf, math.inf)   # bracket widths before the last two steps
-    j = 0
-    while hi - lo > r_tol:
+    for j in range(n_max):
+        if hi - lo <= r_tol or math.nextafter(lo, hi) == hi:
+            break
         width = hi - lo
         mid = 0.5 * (lo + hi)
         # Interpolate only across a strict fall of y: y_lo > 0 >= y_hi,
@@ -175,7 +187,7 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
             x = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
             x += -0.5 * r_tol if moved == "hi" else 0.5 * r_tol
             x = min(max(x, lo + 0.25 * r_tol), hi - 0.25 * r_tol)
-            reach = max(math.ldexp(0.5 * r_tol, n_max - j) - 0.5 * width, 0.0)
+            reach = max(math.ldexp(0.5 * aim, n_max - j) - 0.5 * width, 0.0)
             x = min(max(x, mid - reach), mid + reach)
         res = selective_greedy(stabilization_family(A, x), cfg,
                                initial_matrix=_clip_to_radius(X_prev, A, x))
@@ -190,7 +202,6 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
                 y_hi *= 0.5
             lo, y_lo, moved = x, y, "lo"
         before = (before[1], width)
-        j += 1
     return X_hi, hi
 
 

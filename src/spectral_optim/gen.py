@@ -173,7 +173,7 @@ def generate_random_poly_family(d: int, n_normals: int,
     for _ in range(d):
         raw = stream.uniform_open_closed(n_normals * d).reshape(n_normals, d)
         normals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        # Read-only, so the set's kept tableaux need no copy of it.
+        # Fresh and read-only, so the set keeps it as it is, with no copy.
         normals.flags.writeable = False
         sets.append(HalfspacePoly(normals))
     return ProductFamily(tuple(sets))

@@ -32,20 +32,19 @@ The radius is always read off A itself, at the returned vector.
   connected classes, which fix it exactly (Rothblum, Linear Algebra Appl.
   12, 1975; Berman & Plemmons, *Nonnegative Matrices in the Mathematical
   Sciences*, ch. 2).  The singleton classes take their radii from the
-  diagonal in one gather.  A class of at most 32 rows takes its radius and
-  Perron vector from a dense eigensolve, one of 33 to 64 rows by squaring
-  its block, without the zero rule (its limit is positive), and a larger
-  one, or one whose scaling zeroes an entry, from power iteration on its
-  block.  rho is the largest class radius, and a class is *basic* when its
-  radius lies within 1e-9 relative of rho (the tie rule).  A class's
-  *height* is 1 if it is basic, else 0, plus the largest height among the
-  classes it has an edge to (one pass over the edges between classes).
-  With rho = 0 (nilpotent A) the limit is A^h 1 for the largest h with
-  A^h 1 != 0.  Otherwise, when exactly one basic class has the top height,
-  the limit is its Perron vector there, and on every other class of top
-  height the solution of (rho I - A_UU) v_U = A_U,rest v_rest, taken sinks
-  first; every other component is exactly 0.  Several basic classes of top
-  height run the power stage on A + I instead.
+  diagonal in one gather.  A class of at most 64 rows takes its radius and
+  Perron vector by squaring its block, without the zero rule (its limit is
+  positive), and a larger one, or one whose scaling zeroes an entry, from
+  power iteration on its block.  rho is the largest class radius, and a
+  class is *basic* when its radius lies within 1e-9 relative of rho (the tie
+  rule).  A class's *height* is 1 if it is basic, else 0, plus the largest
+  height among the classes it has an edge to (one pass over the edges
+  between classes).  With rho = 0 (nilpotent A) the limit is A^h 1 for the
+  largest h with A^h 1 != 0.  Otherwise, when exactly one basic class has
+  the top height, the limit is its Perron vector there, and on every other
+  class of top height the solution of (rho I - A_UU) v_U = A_U,rest v_rest,
+  taken sinks first; every other component is exactly 0.  Several basic
+  classes of top height run the power stage on A + I instead.
 
 A power stage, on A + I or on a class block, that runs through its budget
 (``PowerConfig.max_iters``) continues by squaring from its last iterate,
@@ -81,9 +80,6 @@ ZERO_TOL = 1e-12
 # Class radii within this relative distance of the largest are tied: those
 # classes are all basic.
 _TIE = 1e-9
-# Irreducible classes up to this many rows take their radius and Perron
-# vector from a dense eigensolve; larger ones run the power stage.
-_DENSE_ROWS = 32
 # Matrices up to this many rows take the selected vector by squaring alone.
 _SQUARING_ROWS = 64
 # The squaring stops once consecutive iterates agree to this in max norm
@@ -459,11 +455,6 @@ def _squared_lift(A: np.ndarray, x: np.ndarray, zeros: bool):
 def _class_eigen(A: np.ndarray, idx: np.ndarray, cfg: PowerConfig):
     """(radius, Perron vector, power steps, squarings) of the irreducible
     class ``idx`` of at least two rows."""
-    if idx.size <= _DENSE_ROWS:
-        # The Perron root has the largest real part of all eigenvalues.
-        w, V = np.linalg.eig(A[np.ix_(idx, idx)])
-        j = int(np.argmax(w.real))
-        return float(w.real[j]), np.abs(V[:, j].real), 0, 0
     if idx.size <= _SQUARING_ROWS:
         block = A[np.ix_(idx, idx)]
         B = _lifted(block)

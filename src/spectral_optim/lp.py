@@ -44,11 +44,11 @@ multiply-add, and each sum over one tableau (its weights, its priced
 objective row) is taken as a lone solve takes it.  A program solved in a
 stack therefore takes the same pivots and flips and ends at the same x, to
 the last bit, as when it is solved alone.
-:func:`lp_optimize` solves a stack of one; a family of halfspace polytopes
-(:mod:`.rows`) solves all of its sets of one shape in one stack per call, at
-the cost of the slowest one's steps, not the sum of them.  Stacks hold at
-most ``_CHUNK_ENTRIES`` = 2^20 tableau entries (8 MB), beside as much room
-for the update, whatever the number of programs.
+:func:`lp_optimize` solves a stack of one; a halfspace polytope, and a
+family of them, solves all of its sets of one shape in one stack per call
+(:mod:`.rows`), at the cost of the slowest one's steps, not the sum of
+them.  Stacks hold at most ``_CHUNK_ENTRIES`` = 2^20 tableau entries (8 MB),
+beside as much room for the update, whatever the number of programs.
 
 A solve may start from an earlier :class:`LPSolution` of the same
 constraints, where only the objective or the sense differ.  Its optimal
@@ -57,11 +57,12 @@ or two from the optimum, in one of two ways:
 
 * *tableau*: the solution keeps its optimal tableau and weights, read-only.
   The new solve copies them into its stack, reprices the objective row for
-  the new objective and pivots on: no linear solve and no rebuild.  This
-  needs the constraints to be checked identical, not assumed: normals, rhs,
-  lo and hi must be the very arrays the tableau was built from, read-only
-  all the way down (as a polytope set's own program is), or else equal in
-  content to the read-only copy the tableau then keeps.
+  the new objective and pivots on: no linear solve and no rebuild.  The
+  solver does not check that the program is the one the tableau was built
+  from; only the owner of the program can vouch for that.  A polytope set
+  does: it keeps its normals read-only, builds its program once and hands
+  over only its own last solution.  :func:`lp_optimize` cannot vouch for
+  the program it is given, so it never takes this path.
 * *basis*: otherwise the tableau is refactorized from the basis and the
   columns held at their upper bound with one linear solve.  That also
   happens when the tableau has been carried through m pivots since it was
@@ -77,15 +78,13 @@ infeasible for it, is ignored and the solve starts cold.
 (m + 1)(n + m + 1) floats: for a polytope in the unit box of R^d cut by m
 halfspaces that is 31 KB at d=25, m=50, 61 KB at d=100 and 102 KB at d=200
 (m=50).  It is a view of the stack its solve ran in, so the stack lives as
-long as one of its tableaux is kept.  A program whose arrays are not
-read-only also has its constraints copied, (m + 2) n + m floats: 11, 42
-and 84 KB there.  Where several vertices are optimal, which one is returned
-can depend on the starting basis and on the path.
+long as one of its tableaux is kept.  Where several vertices are optimal,
+which one is returned can depend on the starting basis and on the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,44 +151,20 @@ class LinearProgram:
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether ``a`` and every array it is a view of are read-only."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class _Tableau:
     """An optimal tableau kept for the next solve, with its basis, the
-    columns held at their upper bound, the steepest-edge weights, the
-    constraints it was built from, their upper bounds and the pivots it has
-    been carried through since it was last built cold or refactorized.
-    Every array is read-only: a solve that restarts here works on copies.
-    The constraints are the program's own arrays where those were read-only
-    all the way down, else read-only copies of them."""
+    columns held at their upper bound, the steepest-edge weights, the upper
+    bounds and the pivots it has been carried through since it was last
+    built cold or refactorized.  Every array is read-only: a solve that
+    restarts here works on copies."""
 
     T: np.ndarray
     basis: np.ndarray
     at_upper: np.ndarray
     weights: np.ndarray
-    constraints: tuple[np.ndarray, ...]   # normals, rhs, lo, hi
-    u: np.ndarray                         # upper bounds after the shift to lo = 0
+    u: np.ndarray   # upper bounds after the shift to lo = 0
     carried: int
-
-    def fits(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` has exactly the constraints this tableau encodes:
-        the same read-only arrays, or arrays of equal content."""
-        return all((mine is theirs and not mine.flags.writeable)
-                   or np.array_equal(mine, theirs) for mine, theirs in
-                   zip(self.constraints, (lp.normals, lp.rhs, lp.lo, lp.hi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,12 +178,13 @@ class LPSolution:
     others are at their lower bound).  ``pivots`` counts basis changes and
     ``flips`` the steps that moved one variable to its other bound.  Pass
     the solution to the next :func:`lp_optimize` call on the same
-    constraints to warm-start it from the read-only optimal tableau the
-    solution keeps, or from ``basis`` and ``at_upper`` when it keeps none:
-    no tableau is kept once the refactorization rule of the module docstring
-    is due.  ``start`` names how this solve began: ``cold``, ``tableau``
-    (repriced from an earlier solution's tableau) or ``basis`` (refactorized
-    from an earlier solution's basis).
+    constraints to warm-start it from ``basis`` and ``at_upper``.  The
+    solutions of a polytope set's own solves also keep their read-only
+    optimal tableau, which the set's next solve reprices, unless the
+    refactorization rule of the module docstring is due; those of
+    :func:`lp_optimize` keep none.  ``start`` names how this solve began:
+    ``cold``, ``tableau`` (repriced from an earlier solution's tableau) or
+    ``basis`` (refactorized from an earlier solution's basis).
     """
 
     x: np.ndarray
@@ -491,7 +467,9 @@ def _price(T, basis, at_upper, u, c: np.ndarray) -> None:
 def _solve_stack(problems):
     """Solve each (program, earlier) pair of ``problems``, where earlier is
     an :class:`LPSolution` of the same constraints or None, and yield the
-    solutions in order (see :func:`lp_optimize`).
+    solutions in order (see :func:`lp_optimize`).  The tableau an earlier
+    solution keeps is repriced unchecked: a caller hands one over only with
+    the very program it was solved on, as a polytope set does with its own.
 
     Runs of programs of one shape are solved in lockstep, in chunks of at
     most ``_CHUNK_ENTRIES`` tableau entries.  A pair is taken from
@@ -527,15 +505,14 @@ def _solve_chunk(problems) -> list[LPSolution]:
     pivots = np.zeros(k, dtype=np.intp)
     flips = np.zeros(k, dtype=np.intp)
     carried = np.zeros(k, dtype=np.intp)
-    starts, constraints = [], []
+    starts = []
     for s, (lp, earlier) in enumerate(problems):
         kept = None if earlier is None else earlier._tableau
-        if kept is not None and kept.fits(lp):
+        if kept is not None:
             T[s], basis[s], at_upper[s], w[s], u[s] = (
                 kept.T, kept.basis, kept.at_upper, kept.weights, kept.u)
             carried[s] = kept.carried
             starts.append("tableau")
-            constraints.append(kept.constraints)
             continue
         u[s, :n] = lp.hi - lp.lo
         u[s, n:] = np.inf
@@ -543,8 +520,6 @@ def _solve_chunk(problems) -> list[LPSolution]:
         warm = None if earlier is None else _warm_start(
             lp.normals, b, u[s], earlier.basis, earlier.at_upper)
         starts.append("cold" if warm is None else "basis")
-        constraints.append(tuple(a if _frozen(a) else _read_only(a.copy())
-                                 for a in (lp.normals, lp.rhs, lp.lo, lp.hi)))
         T[s], basis[s], at_upper[s], w[s], pivots[s], flips[s] = (
             warm if warm is not None else _cold_start(lp.normals, b, u[s]))
     c = np.array([lp.objective if lp.sense == "max" else -lp.objective
@@ -566,13 +541,13 @@ def _solve_chunk(problems) -> list[LPSolution]:
             & (np.maximum.reduce(values - u[positions, basis], axis=1, initial=-np.inf)
                <= _TOL))
     for a in (T, basis, at_upper, w, u):
-        _read_only(a)
+        a.flags.writeable = False
     bases = basis.tolist()
     solutions = [None] * k
     for p, s in enumerate(order.tolist()):
         lp = problems[s][0]
-        tableau = (_Tableau(T[p], basis[p], at_upper[p], w[p], constraints[s], u[p],
-                            int(carried[p])) if keep[p] else None)
+        tableau = (_Tableau(T[p], basis[p], at_upper[p], w[p], u[p], int(carried[p]))
+                   if keep[p] else None)
         solutions[s] = LPSolution(x[p], float(lp.objective @ x[p]), tuple(bases[p]),
                                   tuple(at_upper[p].nonzero()[0].tolist()),
                                   int(pivots[p]), int(flips[p]), starts[s], tableau)
@@ -583,9 +558,11 @@ def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolu
     """Solve the program to an optimal vertex (see :class:`LPSolution`).
 
     ``basis`` is an earlier :class:`LPSolution` of a program with the same
-    constraints; the solve then restarts phase 2 from it.  Its kept tableau
-    is repriced and reused when the constraints check identical; otherwise
-    the tableau is refactorized from its basis (see the module docstring).
+    constraints; the solve then restarts phase 2 from its basis and the
+    columns it holds at their upper bound (``start`` is ``"basis"``), or
+    starts cold where that basis does not fit the program (``"cold"``).  A
+    tableau the earlier solution keeps is not repriced: nothing here can
+    tell that it encodes these constraints.  The solution keeps no tableau.
 
     Raises
     ------
@@ -597,5 +574,6 @@ def lp_optimize(lp: LinearProgram, *, basis: LPSolution | None = None) -> LPSolu
     if basis is not None and not isinstance(basis, LPSolution):
         raise TypeError(f"basis must be an earlier LPSolution, "
                         f"got {type(basis).__name__}")
-    (solution,) = _solve_stack([(lp, basis)])
-    return solution
+    earlier = None if basis is None else replace(basis, _tableau=None)
+    (solution,) = _solve_stack([(lp, earlier)])
+    return replace(solution, _tableau=None)

@@ -11,9 +11,9 @@ call: it validates v once and fills the maximizing and the minimizing matrix.
 Finite sets, L1 balls, degree sets and halfspace polytopes each have one
 kernel, written for a stack of k sets of their kind: it finds the best and
 the worst row of every set of the stack at once.  A set's own oracle runs
-it on a stack of one, over views of the set's arrays (a polytope through
-:func:`~.lp.lp_optimize`).  A family runs it once for all of its sets where
-they are of one such kind, chosen by set type when the family is made:
+it on a stack of one, over views of the set's arrays.  A family runs it
+once for all of its sets where they are of one such kind, chosen by set
+type when the family is made:
 
 * a family of L1 balls copies its centers into one (d, d) array and its
   radii into a column (``apps.stabilization_family`` makes its one copy of
@@ -48,21 +48,21 @@ membership in one pass.  The kernels are exact:
   from the most expensive coordinates first.
 * :class:`HalfspacePoly` is a polytope cut from the unit box by non-negative
   halfspaces; the maximum is a small LP solved to a vertex, and the minimum
-  is the origin.  The set builds and validates its constraints once, on
-  its first solve; each solve copies that program with v as the objective.
+  is the origin.  The set owns its program: its normals are read-only (a
+  copy, unless the given array is read-only and owns its memory, as the
+  generator's are), and it builds and validates the program once, on its
+  first solve; each solve copies that program with v as the objective.
   The set keeps its last :class:`~.lp.LPSolution`, and the next solve
   warm-starts from it: only v changes, so its optimal tableau is repriced
-  for the new v and pivoted on, with no linear solve.  The LP checks that
-  the constraints are identical before it reuses the tableau: by identity
-  when the normals are read-only all the way down, as the generator makes
-  them (the box and right-hand sides always are), so that no copy of them
-  is kept; else by content, against a copy kept with the tableau.  It
-  refactorizes from the basis once the tableau has been carried through as
-  many pivots as it has rows, or shows a basic value outside its bounds
-  (see :mod:`.lp`).  The unit box is variable bounds there, not
-  rows, so the kept tableau costs (m + 1)(m + d + 1) floats for m normals:
-  31 KB at d=25, m=50.  The LP runs on every visit, so selecting the
-  minimum alone also solves it and moves the warm start.
+  for the new v and pivoted on, with no linear solve and no check of the
+  constraints, which no one else can change.  It refactorizes from the
+  basis once the tableau has been carried through as many pivots as it
+  has rows, or shows a basic value outside its bounds (see :mod:`.lp`).
+  The unit box is variable bounds there, not rows, so the kept tableau
+  costs (m + 1)(m + d + 1) floats for m normals: 31 KB at d=25, m=50.
+  Copies and pickles of a set are rebuilt from its normals and start
+  cold.  The LP runs on every visit, so selecting the minimum alone also
+  solves it and moves the warm start.
 * :class:`Ellipsoid` is an axis-aligned ellipsoid strictly inside the
   positive orthant, with a closed-form touching point; one scaled direction
   gives both extremes.
@@ -89,7 +89,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _check_entries, check_count, check_vector
-from .lp import LinearProgram, LPSolution, _solve_stack, lp_optimize
+# No set calls lp_optimize (polytopes solve through _solve_stack); the name
+# stays because the benchmark's tracing (perfbench/tracing.py) replaces it.
+from .lp import LinearProgram, LPSolution, _solve_stack, lp_optimize  # noqa: F401
 
 __all__ = [
     "RowSet",
@@ -292,8 +294,11 @@ class L1Ball(RowSet):
 class HalfspacePoly(RowSet):
     """{x : 0 <= x <= 1, (normal_j, x) <= 1 for every j} with normals >= 0.
 
-    Normals that are read-only all the way down (``gen`` makes them so) let
-    a kept tableau be checked against them by identity; see :mod:`.lp`."""
+    The set owns its program: ``normals`` is read-only, a copy of the
+    given array unless that one is read-only and owns its memory (as
+    ``gen`` makes them), so no one can change the constraints that its kept
+    tableau encodes (see :mod:`.lp`).  Copies and pickles are rebuilt from
+    the normals, with no warm start."""
 
     normals: np.ndarray
     _lp: LinearProgram | None = field(default=None, init=False, repr=False)
@@ -304,7 +309,13 @@ class HalfspacePoly(RowSet):
         if nm.ndim != 2 or nm.shape[1] < 1:
             raise ValueError(f"normals must be a 2-D array, got shape {nm.shape}")
         _check_entries(nm, "normals")
+        if nm.flags.writeable or not nm.flags.owndata:
+            nm = nm.copy()
+            nm.flags.writeable = False
         object.__setattr__(self, "normals", nm)
+
+    def __reduce__(self):
+        return type(self), (self.normals,)
 
     @property
     def d(self) -> int:
@@ -327,14 +338,8 @@ class HalfspacePoly(RowSet):
         return lp
 
     def _extremes(self, obj):
-        # Only v changes between calls, so the last solution's optimal
-        # tableau stays feasible and warm-starts the next solve.  The
-        # solution is immutable, its tableau read-only and copied on use, and
-        # it is replaced whole, so concurrent callers share no mutable state.
-        sol = lp_optimize(self._program(obj.v), basis=self._last)
-        object.__setattr__(self, "_last", sol)
-        # v >= 0 and the origin is feasible, so it attains the minimum.
-        return np.maximum(sol.x, 0.0), np.zeros(self.d)
+        up, down = _PolyBatch((self,)).extremes(obj)
+        return up[0], down[0]
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -493,8 +498,11 @@ class _DegreeBatch:
 class _PolyBatch:
     """Halfspace polytopes, solved by one lockstep simplex per call (see
     :mod:`.lp`): each set's program with objective v, warm-started from the
-    set's own last solution, which the call then replaces.  The minimum is
-    the origin."""
+    set's own last solution, which the call then replaces.  Only v changes
+    between calls, so that solution's optimal tableau stays feasible; it is
+    immutable and copied on use, and it is replaced whole, so concurrent
+    callers share no mutable state.  v >= 0 and the origin is feasible, so
+    the origin is the minimum."""
 
     __slots__ = ("sets",)
 

@@ -354,6 +354,27 @@ def _search_bound(hi, r_tol=1e-6):
     return math.ceil(math.log2(hi / r_tol)) + 2
 
 
+def _limited_inner_runs(monkeypatch, limit):
+    """The radii of the inner optimizations, as ``inner_runs``; a call past
+    ``limit`` fails the test instead of running on."""
+    radii = []
+    inner = apps.selective_greedy
+
+    def spy(family, *args, **kwargs):
+        radii.append(family.sets[0].radius)
+        assert len(radii) <= limit, "the root search ran past its bound"
+        return inner(family, *args, **kwargs)
+
+    monkeypatch.setattr(apps, "selective_greedy", spy)
+    return radii
+
+
+def _final_bracket(radii, r):
+    """The last bracket (lo, r): hi only falls, so every radius below the
+    accepted r was rejected, and the largest of them is lo."""
+    return max(x for x in radii if x < r), r
+
+
 def _small_problems():
     """30 random small matrices, each with a target that its radius
     crosses for both directions: (A, stable target, unstable target)."""
@@ -407,3 +428,33 @@ def test_root_search_stays_within_the_guard_on_random_inputs(inner_runs):
 def test_root_search_matches_plain_bisection(A, target, fn, direction):
     _, r = fn(StabilizationProblem(A, target=target))
     assert abs(r - bisection_radius(A, target, direction)) <= 1e-6
+
+
+def test_root_search_ends_at_adjacent_doubles_below_their_spacing(monkeypatch):
+    # r_tol=1e-20 is below the spacing of doubles near the critical radius
+    # (about 2e-16): a loop on hi - lo > r_tol alone ran over 2,000 steps.
+    rng = np.random.default_rng(5)
+    for _ in range(11):
+        A = rng.random((4, 4)) * (rng.random((4, 4)) < 0.7) + 1.5 * np.eye(4)
+    bound = _search_bound(float(A.sum(axis=1).max()), r_tol=1e-20)
+    radii = _limited_inner_runs(monkeypatch, bound)
+    _, r = closest_stable(StabilizationProblem(A, r_tol=1e-20))
+    assert r in radii
+    lo, hi = _final_bracket(radii, r)
+    assert math.nextafter(lo, hi) == hi
+
+
+def test_root_search_stays_within_its_bound_at_d500(monkeypatch):
+    # Three regula falsi steps on the flat tail (rho exactly 0) use up the
+    # guard's slack; the bisections after them round the bracket just above
+    # r_tol after n_max = 28 steps, where a 29th step once followed.
+    fam = gen.generate_random_family(500, 1, (0.09, 0.15), seed=0)
+    A = np.vstack([rs.rows[0] for rs in fam.sets])
+    bound = _search_bound(float(A.sum(axis=1).max()))
+    assert bound == 28
+    radii = _limited_inner_runs(monkeypatch, bound)
+    _, r = closest_stable(StabilizationProblem(A))
+    assert r in radii
+    lo, hi = _final_bracket(radii, r)
+    assert hi - lo <= 1e-6
+    assert abs(r - 20.2258240734094) <= 1e-6

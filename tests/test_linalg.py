@@ -194,11 +194,7 @@ def test_bounds_solve_one_lp_per_polytope_row(monkeypatch):
 
     rows_module = importlib.import_module("spectral_optim.rows")
     solved = []
-    real, real_stack = rows_module.lp_optimize, rows_module._solve_stack
-
-    def spy(lp, *args, **kwargs):
-        solved.append(lp.objective.tobytes())
-        return real(lp, *args, **kwargs)
+    real_stack = rows_module._solve_stack
 
     def spy_stack(problems):
         def seen():
@@ -207,9 +203,8 @@ def test_bounds_solve_one_lp_per_polytope_row(monkeypatch):
                 yield lp, earlier
         return real_stack(seen())
 
-    # A set solves alone through lp_optimize, a family of polytopes as one
-    # stack: count the programs of both.
-    monkeypatch.setattr(rows_module, "lp_optimize", spy)
+    # Every polytope solve, alone or in a family, goes through one stack:
+    # count its programs.
     monkeypatch.setattr(rows_module, "_solve_stack", spy_stack)
     rng = np.random.default_rng(115)
     d = 5
@@ -595,18 +590,28 @@ def test_a_forty_row_top_class_squares_on_its_block():
     assert pair.rho == pytest.approx(float(np.max(w.real)), rel=1e-12)
 
 
-def test_a_lift_that_underflows_is_not_squared():
+def test_a_lift_that_underflows_is_not_squared(monkeypatch):
     # Scaled into [1/2, 1), the 1e-300 entry underflows to 0, and the
     # squaring would see (1, 1) where the limit is (1, 0).
     pair = selected_eigenpair(np.array([[1e300, 1e-300], [0.0, 1e300]]))
     assert pair.path == "structural"
     assert pair.v.tolist() == [1.0, 0.0]
     # A class block whose lift underflows runs its power stage instead
-    # (at a scale whose power iterates keep a finite norm).
+    # (at a scale whose power iterates keep a finite norm); only the
+    # 30-row sink class squares.
+    import spectral_optim.linalg as linalg_module
+
+    squared, real = [], linalg_module._squared_vector
+
+    def spy(B, *args, **kwargs):
+        squared.append(B.shape[0])
+        return real(B, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "_squared_vector", spy)
     A = _top_class_over_a_sink(scale=1e150, tiny=1e-200)
     pair = selected_eigenpair(A)
     assert pair.path == "structural"
-    assert pair.power_iters > 0 and pair.squarings == 0
+    assert pair.power_iters > 0 and squared == [30]
     assert np.all(pair.v[40:] == 0.0) and np.all(pair.v[:40] > 0.0)
     # Past its budget, that power stage cannot square on.
     with pytest.raises(PowerIterationError, match="double range"):

@@ -197,12 +197,20 @@ def test_warm_start_from_a_phase_one_basis():
         prev = warm
 
 
+def _alone(program, earlier):
+    """The private stack of one, which reprices a kept tableau unchecked."""
+    (solution,) = lp_module._solve_stack([(program, earlier)])
+    return solution
+
+
 def test_a_solution_of_other_constraints_is_not_repriced():
     # Same shape, other normals or rhs: the kept tableau encodes the old
     # constraints, so repricing it would return a vertex of the wrong polytope.
+    # lp_optimize cannot tell, so it restarts from the basis, even on a copy
+    # of the same constraints.
     rng = np.random.default_rng(23)
     normals = rng.random((8, 6))
-    earlier = lp_optimize(_boxed_lp(rng.random(6), normals))
+    earlier = _alone(_boxed_lp(rng.random(6), normals), None)
     assert earlier.start == "cold" and earlier._tableau is not None
     objective = rng.random(6) + 0.1
     for other in (_boxed_lp(objective, rng.random((8, 6))),
@@ -213,9 +221,8 @@ def test_a_solution_of_other_constraints_is_not_repriced():
         assert warm.start != "tableau"
         assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
         assert np.allclose(warm.x, cold.x, atol=1e-12)
-    # A copy of the same constraints is checked identical and repriced.
     same = lp_optimize(_boxed_lp(objective, normals.copy()), basis=earlier)
-    assert same.start == "tableau"
+    assert same.start == "basis" and same._tableau is None
     assert same.value == pytest.approx(lp_optimize(_boxed_lp(objective, normals)).value,
                                        rel=1e-12)
 
@@ -223,30 +230,51 @@ def test_a_solution_of_other_constraints_is_not_repriced():
 def test_kept_tableau_is_read_only_and_changes_under_no_solve():
     rng = np.random.default_rng(24)
     normals = rng.random((8, 6))
-    earlier = lp_optimize(_boxed_lp(rng.random(6), normals))
+    rs = spectral_optim.HalfspacePoly(normals)
+    earlier = _alone(rs._program(rng.random(6)), None)
     kept = earlier._tableau
     before = kept.T.copy()
     assert not kept.T.flags.writeable and not kept.basis.flags.writeable
-    assert all(not a.flags.writeable for a in kept.constraints)
+    assert not rs.normals.flags.writeable
     for _ in range(5):
-        assert lp_optimize(_boxed_lp(rng.random(6), normals), basis=earlier).start == "tableau"
+        assert _alone(rs._program(rng.random(6)), earlier).start == "tableau"
     assert np.array_equal(kept.T, before)
-    # Changing the caller's arrays in place cannot make the check pass wrongly.
+    # Changing the caller's arrays in place does not reach the set's own
+    # program, and lp_optimize reprices no tableau of another program.
+    normals[0, 0] += 1.0
+    assert not np.array_equal(rs._program(np.ones(6)).normals, normals)
     lp = _boxed_lp(rng.random(6), normals)
-    lp.normals[0, 0] += 1.0
     assert lp_optimize(lp, basis=earlier).start != "tableau"
 
 
+def test_a_public_warm_solve_restarts_from_the_basis():
+    rng = np.random.default_rng(26)
+    normals = rng.random((8, 6)) / 2.0
+    prev, starts = None, []
+    for _ in range(40):
+        lp = _boxed_lp(rng.random(6), normals)
+        warm = lp_optimize(lp, basis=prev)
+        cold = lp_optimize(lp)
+        assert warm._tableau is None
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
+        starts.append(warm.start)
+        prev = warm
+    assert starts[0] == "cold" and set(starts[1:]) == {"basis"}
+
+
 def test_two_thousand_warm_solves_match_cold_solves():
+    # A polytope set's chain of solves, each repricing the set's last
+    # tableau, against cold public solves.
     rng = np.random.default_rng(25)
     d, k = 10, 15
     normals = rng.random((k, d)) / 2.0
+    rs = spectral_optim.HalfspacePoly(normals)
     prev, starts = None, []
     for case in range(2000):
         objective = rng.random(d)
         objective[rng.random(d) < 0.3] = 0.0
         lp = _boxed_lp(objective, normals)
-        warm = lp_optimize(lp, basis=prev)
+        warm = _alone(rs._program(objective), prev)
         cold = lp_optimize(lp)
         assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15), case
         assert np.all(normals @ warm.x <= 1.0 + 1e-10)

@@ -1,11 +1,13 @@
 """The lockstep simplex of a polytope family against per-set solves.
 
 A family of halfspace polytopes solves all of its sets in one stack per
-call; every set must end exactly where a lone ``lp_optimize`` chain,
-warm-started from its own previous solution, ends: the same x to the last
-bit, basis, bound flags, pivots, flips and start.
+call; every set must end exactly where a chain of stacks of one on the
+set's own program, warm-started from its own previous solution, ends: the
+same x to the last bit, basis, bound flags, pivots, flips and start.
 """
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -21,12 +23,6 @@ from spectral_optim import (
 )
 from spectral_optim import lp as lp_module
 from spectral_optim import rows as rows_module
-
-
-def _program(normals, v):
-    m, d = normals.shape
-    return LinearProgram(objective=v, normals=normals, rhs=np.ones(m), lo=np.zeros(d),
-                         hi=np.ones(d))
 
 
 def _directions(d, calls, seed):
@@ -47,6 +43,13 @@ def _summary(sol):
     return (sol.x.tobytes(), sol.basis, sol.at_upper, sol.pivots, sol.flips, sol.start)
 
 
+def _alone(rs, v, earlier):
+    """Set rs's program with objective v, solved from ``earlier`` as a stack
+    of one."""
+    (solution,) = lp_module._solve_stack([(rs._program(v), earlier)])
+    return solution
+
+
 def _assert_matches_per_set_chains(family, vs):
     """Run family.extremes over vs; after each call every set's solution
     equals that of its own per-set chain, which starts from the set's
@@ -57,7 +60,7 @@ def _assert_matches_per_set_chains(family, vs):
         up, down = family.extremes(v)
         assert not down.any()
         for i, rs in enumerate(family.sets):
-            want = lp_optimize(_program(rs.normals, v), basis=last[i])
+            want = _alone(rs, v, last[i])
             assert _summary(rs._last) == _summary(want), i
             assert up[i].tobytes() == np.maximum(want.x, 0.0).tobytes()
             last[i] = want
@@ -151,32 +154,94 @@ def test_chunks_bound_the_stack(monkeypatch):
     _assert_matches_per_set_chains(family, _directions(d, 4, 44))
 
 
-def test_read_only_normals_are_checked_by_identity_and_not_copied():
+def test_generated_normals_are_kept_without_a_copy():
     rng = np.random.default_rng(45)
     d, m = 6, 20
     family = generate_random_poly_family(d, m, seed=45)
-    assert all(not rs.normals.flags.writeable for rs in family.sets)
+    for rs in family.sets:
+        assert not rs.normals.flags.writeable and rs.normals.flags.owndata
+    # A fresh read-only array is the set's normals as it is.
+    fresh = rng.random((m, d))
+    fresh.flags.writeable = False
+    assert HalfspacePoly(fresh).normals is fresh
     family.extremes(np.ones(d))
     rs = family.sets[0]
-    kept = rs._last._tableau
-    assert kept is not None
-    # The kept constraints are the set's own arrays, not copies of them.
-    assert np.shares_memory(kept.constraints[0], rs.normals)
-    assert kept.fits(rs._program(np.ones(d)))
+    assert rs._last._tableau is not None
+    # The program solves on the set's own array.
+    assert np.shares_memory(rs._program(np.ones(d)).normals, rs.normals)
     family.extremes(rng.random(d) + 0.1)
     assert rs._last.start == "tableau"
-    # Writable normals can change under the set: the tableau keeps a copy,
-    # and a change is seen.
+    # Writable normals are copied once, into the set's read-only array, and
+    # a change to them reaches no set: every set reprices its kept tableau.
     normals = rng.random((m, d)) / 2.0
-    writable = ProductFamily(tuple(HalfspacePoly(normals.copy()) for _ in range(d)))
+    writable = ProductFamily(tuple(HalfspacePoly(normals) for _ in range(d)))
+    assert not any(np.shares_memory(rs.normals, normals) for rs in writable.sets)
     writable.extremes(np.ones(d))
-    rs = writable.sets[0]
-    kept = rs._last._tableau
-    assert kept is not None and not np.shares_memory(kept.constraints[0], rs.normals)
-    rs.normals[0, 0] += 1.0
+    normals[0, 0] += 1.0
     writable.extremes(np.ones(d))
-    assert rs._last.start != "tableau"
-    assert writable.sets[1]._last.start == "tableau"
+    assert all(rs._last.start == "tableau" for rs in writable.sets)
+
+
+def _draw(rng, m, d):
+    return rng.random((m, d)) / 2.0
+
+
+def test_a_set_owns_its_normals():
+    rng = np.random.default_rng(47)
+    d, m = 7, 12
+    normals = _draw(rng, m, d)
+    rs, control = HalfspacePoly(normals), HalfspacePoly(normals.copy())
+    assert not rs.normals.flags.writeable
+    assert not np.shares_memory(rs.normals, normals)
+    x = np.full(d, 0.05)
+    assert rs.contains(x)
+    for k, v in enumerate(_directions(d, 6, 47)):
+        if k == 3:
+            # The caller's array changes under neither membership nor the
+            # warm start the set keeps.
+            normals[:] = 10.0
+        assert rs.contains(x)
+        assert rs.best_row(v).tobytes() == control.best_row(v).tobytes()
+        assert _summary(rs._last) == _summary(control._last)
+    # A read-only view of someone else's array is borrowed: copied too.
+    borrowed = normals[:]
+    borrowed.flags.writeable = False
+    assert not np.shares_memory(HalfspacePoly(borrowed).normals, normals)
+
+
+def test_copies_and_pickles_start_cold():
+    rng = np.random.default_rng(48)
+    d = 8
+    v = rng.random(d) + 0.1
+    for rs in (HalfspacePoly(_draw(rng, 10, d)),
+               generate_random_poly_family(d, 10, seed=48).sets[0]):
+        for w in _directions(d, 3, 48):
+            rs.best_row(w)
+        fresh = HalfspacePoly(rs.normals.copy())
+        want = fresh.best_row(v)
+        for clone in (copy.copy(rs), copy.deepcopy(rs), pickle.loads(pickle.dumps(rs))):
+            assert clone._last is None and not clone.normals.flags.writeable
+            assert np.array_equal(clone.normals, rs.normals)
+            assert clone.best_row(v).tobytes() == want.tobytes()
+            assert _summary(clone._last) == _summary(fresh._last)
+            assert clone._last.start == "cold"
+
+
+def test_a_lone_set_matches_the_same_set_in_a_family():
+    d = 12
+    family = generate_random_poly_family(d, 15, seed=49)
+    lone = copy.deepcopy(family)
+    for v in _directions(d, 6, 49):
+        family.extremes(v)
+        for rs, mine in zip(lone.sets, family.sets):
+            rs.best_row(v)
+            assert _summary(rs._last) == _summary(mine._last)
+    # A family of one, at d = 1, is the same stack of one.
+    normals = _draw(np.random.default_rng(49), 4, 1)
+    rs, of_one = HalfspacePoly(normals), ProductFamily((HalfspacePoly(normals),))
+    for v in (np.ones(1), np.array([0.5])):
+        assert rs.best_row(v).tobytes() == of_one.extremes(v)[0][0].tobytes()
+        assert _summary(rs._last) == _summary(of_one.sets[0]._last)
 
 
 def test_polytope_family_shared_by_threads():
