@@ -159,7 +159,8 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
     tail from stalling the interpolation on one side.  Last, the ITP guard
     (Oliveira & Takahashi, ACM TOMS 47, 2021) holds x within
     (aim/2) 2^(n_max - j) - (hi - lo)/2 of the midpoint at step j, with
-    n_max = ceil(log2(hi / r_tol)) + 2, two steps more than bisection, and
+    n_max = ceil(log2(hi) - log2(r_tol)) + 2, two steps more than bisection
+    (a difference of logarithms, so a huge hi / r_tol cannot overflow), and
     aim = r_tol less four units in the last place of hi.  In exact
     arithmetic that leaves a bracket at most aim wide after n_max steps,
     whatever the shape of y; the rounding of the midpoints adds less than
@@ -169,7 +170,7 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
     hi gives aim <= 0: every step bisects.)
     """
     lo = 0.0
-    n_max = math.ceil(math.log2(hi / r_tol)) + 2 if hi > r_tol else 0
+    n_max = math.ceil(math.log2(hi) - math.log2(r_tol)) + 2 if hi > r_tol else 0
     aim = r_tol - 4.0 * math.ulp(hi)
     X_prev = X_hi
     moved = None                    # the end the last step moved
@@ -187,7 +188,12 @@ def _root_search(A: np.ndarray, hi: float, X_hi: np.ndarray, y_lo: float, y_hi: 
             x = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
             x += -0.5 * r_tol if moved == "hi" else 0.5 * r_tol
             x = min(max(x, lo + 0.25 * r_tol), hi - 0.25 * r_tol)
-            reach = max(math.ldexp(0.5 * aim, n_max - j) - 0.5 * width, 0.0)
+            reach = 0.0
+            if aim > 0.0:
+                # A reach past the width cannot bind (x is in the bracket),
+                # so the power of two stops there and cannot overflow.
+                e = min(n_max - j, math.ceil(math.log2(width) - math.log2(aim)) + 2)
+                reach = max(math.ldexp(0.5 * aim, e) - 0.5 * width, 0.0)
             x = min(max(x, mid - reach), mid + reach)
         res = selective_greedy(stabilization_family(A, x), cfg,
                                initial_matrix=_clip_to_radius(X_prev, A, x))

@@ -26,8 +26,10 @@ only the draws it uses: every gamma and every density check, a magnitude
 only where its check passes, and a fallback only for an all-zero row.  It
 works on groups of whole sets, about 2^18 checks at a time, and writes the
 family into one C-contiguous (d, N, d) block; set i holds the view block[i].
-The block goes to the family with its sets, and the family's oracle scans
-every set with one product over it (see :mod:`~.rows`).
+The block, read-only, goes to the family with its sets, and the family's
+oracle answers every set with one batch over it: a whole scan, or for a
+large block a rescan of the rows its kept bounds cannot rule out (see
+:mod:`~.rows`).
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def generate_random_family(d: int, set_size: int,
     entries that are nonzero with probability gamma and uniform (0, 1] in
     magnitude.  All-zero rows get one forced entry at the lowest index so
     no candidate row is ever entirely zero.  The rows of set i are the view
-    ``block[i]`` of one (d, set_size, d) array.
+    ``block[i]`` of one read-only (d, set_size, d) array.
     """
     d = check_count(d, "d")
     n = check_count(set_size, "set_size")
@@ -156,6 +158,8 @@ def generate_random_family(d: int, set_size: int,
         q = np.flatnonzero(~passed.reshape(-1, d).any(axis=1))
         k = q + (q // n) * (span - n) + (base + 2 + 2 * nd)
         block[i0:i1].reshape(-1, d)[q, 0] = _open_closed(_draws(seed, k.astype(np.uint64)))
+    # Fresh and read-only, so the family keeps it as it is, with no copy.
+    block.flags.writeable = False
     return _finite_family(block)
 
 

@@ -296,6 +296,18 @@ def finite_best_row(rows, v, direction):
     return rows[idx].copy()
 
 
+def scanned_extremes(block, v):
+    """The whole-block scan, set by set: every row's product with v, and
+    each set's first maximal and first minimal row.  Returns (up, down,
+    dots) with dots[i, j] the product of row j of set i."""
+    block = np.asarray(block, dtype=float)
+    v = np.asarray(v, dtype=float)
+    dots = np.array([[float(np.dot(row, v)) for row in rows] for rows in block])
+    first = np.arange(block.shape[0])
+    return (block[first, np.argmax(dots, axis=1)].copy(),
+            block[first, np.argmin(dots, axis=1)].copy(), dots)
+
+
 def graph_best_row(dim, n, sense, v, direction):
     """0/1 row with its own argsort of v; ties go to the lowest index."""
     row = np.zeros(dim)

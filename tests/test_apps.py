@@ -458,3 +458,18 @@ def test_root_search_stays_within_its_bound_at_d500(monkeypatch):
     lo, hi = _final_bracket(radii, r)
     assert hi - lo <= 1e-6
     assert abs(r - 20.2258240734094) <= 1e-6
+
+
+def test_root_search_past_the_double_range(monkeypatch):
+    # hi / r_tol = 1e320 is past the double range, and so is the guard's
+    # reach 2^(n_max - j) aim / 2 for 1,000 steps: both once raised
+    # OverflowError before any optimization ran.
+    A = np.diag([1e300, 1e300])
+    bound = math.ceil(math.log2(1e300) - math.log2(1e-20)) + 2
+    radii = _limited_inner_runs(monkeypatch, bound)
+    X, r = closest_stable(StabilizationProblem(A, r_tol=1e-20))
+    # diag(1, 1) is 1e300 - 1 away, which rounds to 1e300: the search
+    # ends at the double below it, and keeps the zero matrix it started at.
+    assert r == 1e300 and math.nextafter(max(radii), math.inf) == r
+    assert np.max(np.abs(X - A).sum(axis=1)) <= r
+    assert selected_eigenpair(X).rho <= 1.0

@@ -508,16 +508,18 @@ def test_stacked_scan_takes_the_first_of_tied_rows():
     block[:, 3] = [0.0, 1.0, 0.0]
     block[2, 1] = [0.0, 0.0, 1.0]
     family = _finite_family(block)
-    assert family._batch.block is block
     v = np.array([1.0, 1.0, 0.5])
     up, down = family.extremes(v)
     assert np.array_equal(up, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert np.array_equal(down, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     _assert_same_extremes(family, _copied(family), v)
-    # The scan reads the sets' own memory, and hands out new matrices.
+    # The family owns a frozen copy of a writeable block, so a change to the
+    # given array does not reach it; and it hands out new matrices.
+    assert not family._batch.block.flags.writeable
+    assert all(np.shares_memory(rs.rows, family._batch.block) for rs in family.sets)
     block[0, 1] = [0.0, 3.0, 0.0]
     up[:] = -1.0
-    assert np.array_equal(family.extremes(v)[0][0], [0.0, 3.0, 0.0])
+    assert np.array_equal(family.extremes(v)[0][0], [1.0, 0.0, 0.0])
 
 
 def test_families_off_the_block_keep_the_per_set_scan():
@@ -720,3 +722,135 @@ def test_l1_batch_membership_agrees_with_each_ball_at_the_boundary():
             radii[k] = np.nextafter(sums[k], 0.0)
             assert not both(ProductFamily(tuple(L1Ball(c, r) for c, r in zip(center, radii))),
                             X, 0.0)
+
+
+# ------------------------------------------- the pruned scan of a large block
+
+# d=200, N=40: 1.6 x 10^6 entries, a block large enough to keep bounds.
+PRUNED_D, PRUNED_N = 200, 40
+
+
+def _assert_scan_picks(block, v, up, down):
+    """up and down hold the whole scan's picks, except where a row of the
+    same set ties the extreme to within the rounding of a product."""
+    from oracles import scanned_extremes
+
+    want_up, want_down, dots = scanned_extremes(block, v)
+    slack = 8 * block.shape[2] * 2.0 ** -53 * block.sum(axis=2) * float(np.max(v))
+    for got, want, extreme in ((up, want_up, dots.max(axis=1)),
+                               (down, want_down, dots.min(axis=1))):
+        for i in np.flatnonzero((got != want).any(axis=1)):
+            j = np.flatnonzero((block[i] == got[i]).all(axis=1))
+            assert j.size, f"set {i} answered with a row it does not hold"
+            assert abs(dots[i, j[0]] - extreme[i]) <= slack[i, j[0]] + slack[i].max(), i
+
+
+def _recorded_extremes(monkeypatch):
+    """Every (v, up, down) that ProductFamily.extremes answers from now on."""
+    calls = []
+    inner = ProductFamily.extremes
+
+    def spy(self, v):
+        up, down = inner(self, v)
+        calls.append((np.array(v, dtype=float), up.copy(), down.copy()))
+        return up, down
+
+    monkeypatch.setattr(ProductFamily, "extremes", spy)
+    return calls
+
+
+def _pruned_family(seed, density=(0.09, 0.15)):
+    from spectral_optim.rows import _PRUNE_ENTRIES
+
+    family = generate_random_family(PRUNED_D, PRUNED_N, density, seed=seed)
+    assert family._batch.block.size >= _PRUNE_ENTRIES
+    return family
+
+
+@pytest.mark.parametrize("density", [(0.09, 0.15), (1.0, 1.0)])
+def test_pruned_scan_matches_the_whole_scan_over_optimize_runs(monkeypatch, density):
+    from spectral_optim import OptimizerConfig, optimize
+
+    calls = _recorded_extremes(monkeypatch)
+    for seed in (1, 2):
+        family = _pruned_family(seed, density)
+        calls.clear()
+        pruned = False
+        for direction in ("max", "min"):
+            optimize(family, OptimizerConfig(direction=direction))
+            # A run's last call rescanned only some rows, unless it was the
+            # first pass (a whole scan).
+            _, lo, hi = family._batch._kept
+            pruned |= bool(np.any(lo != hi))
+        assert pruned
+        for v, up, down in calls:
+            _assert_scan_picks(family._batch.block, v, up, down)
+
+
+def test_pruned_scan_edge_cases(monkeypatch):
+    from spectral_optim import OptimizerConfig, optimize
+
+    rng = np.random.default_rng(120)
+    d = PRUNED_D
+    family = _pruned_family(3)
+    block = family._batch.block
+
+    def check(v):
+        up, down = family.extremes(v)
+        _assert_scan_picks(block, v, up, down)
+        return up, down
+
+    # The all-ones vector, answered from the row norms alone, then scaled
+    # copies of it and a vector near it.
+    ones = np.ones(d)
+    for v in (ones, ones * 2.0 ** -3, 3.0 * ones, ones + 1e-3 * rng.random(d)):
+        check(v)
+    # v changed in place after a call: the batch kept a copy of it.
+    x = 0.5 + 0.4 * rng.random(d)
+    first = check(x)
+    v = x.copy()
+    check(v)
+    v += 0.02 * rng.random(d)
+    second = check(v)
+    assert not np.array_equal(first[0], second[0])
+    # A tiny v takes the lifted path; its lifted copy is x itself here.
+    check(x * 2.0 ** -60)
+    # A far jump has too many candidates, and the block is scanned whole.
+    far = rng.random(d) * (rng.random(d) < 0.3)
+    far[0] += 0.1
+    check(far)
+    _, lo, hi = family._batch._kept
+    assert lo is hi
+    # Duplicated rows: every row of a set twice, next to itself.
+    half = generate_random_family(d, PRUNED_N // 2, (0.09, 0.15), seed=4)._batch.block
+    twice = _finite_family(np.repeat(half, 2, axis=1))
+    calls = _recorded_extremes(monkeypatch)
+    for direction in ("max", "min"):
+        optimize(twice, OptimizerConfig(direction=direction))
+    for v, up, down in calls:
+        _assert_scan_picks(twice._batch.block, v, up, down)
+
+
+def test_pruned_scan_shared_by_threads():
+    import copy
+    from concurrent.futures import ThreadPoolExecutor
+
+    from spectral_optim import OptimizerConfig, optimize
+
+    rng = np.random.default_rng(121)
+    family = _pruned_family(5)
+    # Two streams of nearby vectors, interleaved, so each thread's call
+    # meets the other's kept bounds.
+    base = [0.2 + rng.random(PRUNED_D) for _ in range(2)]
+    vs = [b * (1.0 + 0.01 * rng.random(PRUNED_D)) for _ in range(12) for b in base]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        answers = list(pool.map(family.extremes, vs))
+    for v, (up, down) in zip(vs, answers):
+        _assert_scan_picks(family._batch.block, v, up, down)
+    # Both directions at once on one family give the serial results.
+    configs = [OptimizerConfig(direction=d) for d in ("max", "min")]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        together = list(pool.map(lambda cfg: optimize(family, cfg), configs))
+    alone = [optimize(copy.copy(family), cfg) for cfg in configs]
+    for a, b in zip(together, alone):
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.rho == b.rho
