@@ -109,6 +109,14 @@ class StabilizationProblem:
     ceil(log2(h / r_tol)) + 2 inner optimizations, h the far end of the
     first bracket (A's largest row sum for :func:`closest_stable`,
     ``target`` for :func:`closest_unstable`).
+
+    The search brackets the radius where the inner optimization's rho
+    crosses ``target``, so r* is resolved only to about that
+    optimization's accuracy, not to ``r_tol``.  On a sparse 4x4 matrix
+    plus 1.5 I at ``r_tol=1e-20``, the computed rho(r) - 1 falls from
+    +3e-11 to -1.6e-10 between adjacent doubles: rho, and with it r*, is
+    known only at the 1e-10 level there.  An ``r_tol`` below that level
+    costs steps and buys no accuracy.
     """
 
     A: np.ndarray

@@ -8,23 +8,26 @@ aborting the sweep: each failed trial's index, error type and message are
 kept on its cell and listed under the table, and failed trials are excluded
 from the means.
 
-Trials run on a thread pool of ``threads`` workers (default: the CPU count).
-On a 2-vCPU machine neither setting wins everywhere: the acceptance sweeps
-of criteria 5 and 10 took 19.9-21.3 s with 2 workers and 23.3-24.0 s with
-1, while a small sweep (finite d <= 200, N <= 50; polytopes d <= 40) took
-6.1-6.3 s with 2 workers and 3.9 s with 1.
+Trials run on a thread pool of ``threads`` workers (default: the CPUs this
+process may use), and a finite trial whose family has more than one group
+of sets hashes it on those CPUs too (see :mod:`~.gen`).  On a 2-vCPU machine
+neither setting wins everywhere (three runs each): the acceptance sweeps of
+criteria 5 and 10 took 8.5-10.5 s with 2 workers and 8.9-9.7 s with 1
+(17.7-19.7 s with 1 while the generator ran on one CPU), and a small sweep
+(finite d 25-200, N 10-50, ten trials; polytopes d 10-40, five trials) took
+1.27-1.56 s with 2 workers and 1.09-1.32 s with 1.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gen import POLY_NORMALS_NOTE, generate_random_family, generate_random_poly_family
+from .gen import (POLY_NORMALS_NOTE, _cpu_budget, generate_random_family,
+                  generate_random_poly_family)
 from .linalg import check_count
 from .optimize import OptimizerConfig, optimize
 
@@ -82,10 +85,11 @@ class BenchCell:
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Thread budget: the explicit argument, else the CPU count."""
-    if requested is not None:
-        return max(1, int(requested))
-    return max(1, os.cpu_count() or 1)
+    """Thread budget: the explicit count (at least 1), else the CPUs this
+    process may run on."""
+    if requested is None:
+        return _cpu_budget()
+    return check_count(requested, "threads")
 
 
 def _one_trial(spec: BenchSpec, d: int, set_size: int, trial: int):

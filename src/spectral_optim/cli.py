@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="selective-greedy", choices=_METHOD_CHOICES)
     p.add_argument("--kind", choices=["finite", "poly"], default="finite")
     p.add_argument("--threads", type=int, default=None,
-                   help="thread cap (default: CPU count)")
+                   help="worker threads for the trials, at least 1 "
+                        "(default: the CPUs this process may use)")
     p.add_argument("--csv", help="write the sweep results here")
 
     sub.add_parser("demo-cycling",

@@ -8,6 +8,8 @@ once on the frozen seed and asserted with the contract tolerance.
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,7 +143,7 @@ def test_fixed_draw_layout_aligns_sparse_and_positive_runs():
     (40, 7, (0.0, 1.0), 2 ** 64 - 1),
     (50, 10, (0.0, 0.0), 3),        # every row dead: all fallbacks
     (7, 2, (1.0, 1.0), 4),          # gamma = 1, the threshold edge
-    (100, 30, (0.09, 0.15), 5),     # two groups of sets, the second partial
+    (100, 30, (0.09, 0.15), 5),     # three groups of sets, the last partial
 ])
 def test_generator_matches_the_three_call_layout_bit_for_bit(d, n, density, seed):
     fam = generate_random_family(d, n, density, seed=seed)
@@ -161,13 +163,98 @@ def test_generator_output_does_not_depend_on_the_group_size(monkeypatch, group):
         assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want]
 
 
-def test_generator_matches_the_layout_on_the_small_benchmark_families():
-    # The 500 families of acceptance criterion 9.
+def test_generator_matches_the_layout_on_the_small_benchmark_families(monkeypatch):
+    # The 500 families of acceptance criterion 9, the shapes of finite-small.
+    # Each is one group of sets, hashed in the calling thread: no pool, and
+    # no look at the CPUs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-group family made a pool or read the CPUs")
+
+    monkeypatch.setattr(gen, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", refuse)
+    monkeypatch.setattr(os, "cpu_count", refuse)
     for t in range(500):
         d, n = 2 + t % 29, 1 + t % 3
         fam = generate_random_family(d, n, (0.05, 0.2), seed=9000 + t)
         want = generate_random_family_rows(d, n, (0.05, 0.2), 9000 + t)
         assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want], t
+
+
+# Families of many groups: (d, N, density, seed), one set per group under
+# _GROUP_DRAWS = 64.
+_MANY_GROUPS = [(40, 3, (0.0, 1.0), 1), (9, 5, (1.0, 1.0), 2),
+                (20, 2, (0.0, 0.0), 3), (33, 4, (0.09, 0.15), 2 ** 64 - 1)]
+
+
+def _assert_layout(fam, d, n, density, seed):
+    want = generate_random_family_rows(d, n, density, seed)
+    assert [rs.rows.tobytes() for rs in fam.sets] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_groups_hashed_on_any_number_of_cpus_give_the_same_family(monkeypatch, cpus):
+    workers = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gen, "_GROUP_DRAWS", 64)
+    monkeypatch.setattr(gen, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    threads = threading.active_count()
+    for d, n, density, seed in _MANY_GROUPS:
+        _assert_layout(generate_random_family(d, n, density, seed=seed), d, n, density, seed)
+    # One CPU hashes every group in the calling thread; more take one thread
+    # per CPU, at most one per group: the caller and a pool of the others,
+    # none of which outlives the call.
+    assert workers == ([] if cpus == 1 else [min(cpus, d) - 1 for d, *_ in _MANY_GROUPS])
+    assert threading.active_count() == threads
+
+
+def test_families_built_on_bench_trial_threads_match_the_layout(monkeypatch):
+    monkeypatch.setattr(gen, "_GROUP_DRAWS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
+    with ThreadPoolExecutor(2) as pool:
+        fams = list(pool.map(lambda shape: generate_random_family(*shape), _MANY_GROUPS))
+    for fam, shape in zip(fams, _MANY_GROUPS):
+        _assert_layout(fam, *shape)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", ["pool", "caller"])
+def test_a_failing_group_raises_in_the_caller(monkeypatch, failing):
+    inner = gen._open_closed
+    caller_calls = []
+
+    def broken(raw):
+        caller = threading.current_thread() is threading.main_thread()
+        if caller:
+            caller_calls.append(raw.size)
+        # The caller's first call draws the densities, before any group.
+        if (caller and len(caller_calls) > 1) if failing == "caller" else not caller:
+            raise RuntimeError("group failed")
+        return inner(raw)
+
+    monkeypatch.setattr(gen, "_GROUP_DRAWS", 64)
+    monkeypatch.setattr(gen, "_open_closed", broken)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="group failed"):
+        generate_random_family(40, 3, (0.0, 1.0), seed=1)
+    assert threading.active_count() == threads
+
+
+def test_cpu_budget_is_the_affinity_set_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert gen._cpu_budget() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert gen._cpu_budget() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gen._cpu_budget() == 1
 
 
 def test_generator_writes_one_block_of_set_views():
@@ -207,8 +294,10 @@ def test_poly_generator_normals_are_unit_and_positive():
 
 def test_resolve_threads_priority():
     assert resolve_threads(3) == 3
-    assert resolve_threads(0) == 1
-    assert resolve_threads() == max(1, os.cpu_count() or 1)
+    for bad in (0, -4, 2.7):
+        with pytest.raises(ValueError):
+            resolve_threads(bad)
+    assert resolve_threads() == gen._cpu_budget()
 
 
 def test_bench_spec_validation():

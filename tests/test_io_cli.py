@@ -292,6 +292,10 @@ def test_cli_errors_exit_2_with_diagnostic(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
+    code = main(["bench", "--dims", "3", "--sizes", "2", "--threads", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: threads must be at least 1, got 0\n"
+
 
 @pytest.mark.parametrize("edit, message", [
     (lambda obj: obj["sets"][0].pop("rows"), "sets[0] (finite): missing key 'rows'"),
