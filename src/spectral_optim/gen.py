@@ -35,7 +35,11 @@ the process may use one CPU, is hashed in the calling thread alone.
 The block, read-only, goes to the family with its sets, and the family's
 oracle answers every set with one batch over it: a whole scan, or for a
 large block a rescan of the rows its kept bounds cannot rule out (see
-:mod:`~.rows`).
+:mod:`~.rows`).  Those bounds start from the rows' L1 norms, and for such a
+block each group also sums, per row, the magnitudes it has just stored (a
+dead row's norm is its fallback) into its own sets' slice of one read-only
+(d, N) array, handed to the family with the block: its first call then
+needs no product with the all-ones vector.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .linalg import check_count
-from .rows import HalfspacePoly, ProductFamily, _finite_family
+from .rows import _PRUNE_ENTRIES, HalfspacePoly, ProductFamily, _finite_family
 
 __all__ = [
     "CounterStream",
@@ -144,7 +148,10 @@ def generate_random_family(d: int, set_size: int,
     no candidate row is ever entirely zero.  The rows of set i are the view
     ``block[i]`` of one read-only (d, set_size, d) array.  Groups of sets
     are hashed on one thread per CPU the process may use; the family does
-    not depend on how many.
+    not depend on how many.  Where the family's batch keeps bounds on the
+    block (``rows._PRUNE_ENTRIES`` entries or more), each group also sums
+    its rows as it writes them, and the family gets those row L1 norms
+    with the block, the same to the bit whatever the thread count.
     """
     d = check_count(d, "d")
     n = check_count(set_size, "set_size")
@@ -164,11 +171,13 @@ def generate_random_family(d: int, set_size: int,
     threshold = np.where(full, 0.0, ceil).astype(np.uint64) << np.uint64(11)
     steps = np.arange(nd, dtype=np.uint64) * _GAMMA
     block = np.zeros((d, n, d))
+    # The row L1 norms, for a block large enough that its batch keeps bounds.
+    norms = np.empty((d, n)) if block.size >= _PRUNE_ENTRIES else None
     group = max(1, _GROUP_DRAWS // nd)
 
     def fill(i0):
-        # Writes block[i0:i1] only; reads the arrays above without changing
-        # them, so groups may run on any threads in any order.
+        # Writes block[i0:i1] and norms[i0:i1] only; reads the arrays above
+        # without changing them, so groups may run on any threads in any order.
         i1 = min(d, i0 + group)
         # Weyl values of the checks of sets i0..i1-1, one row per set.
         x = (first[i0:i1] + np.uint64(2)) * _GAMMA + seed
@@ -180,10 +189,20 @@ def generate_random_family(d: int, set_size: int,
         # row q (set q // n) past the group's first fallback.
         p = np.flatnonzero(passed)
         k = p + (p // nd) * (span - nd) + (base + 2 + nd)
-        block[i0:i1].reshape(-1)[p] = _open_closed(_draws(seed, k.astype(np.uint64)))
-        q = np.flatnonzero(~passed.reshape(-1, d).any(axis=1))
+        vals = _open_closed(_draws(seed, k.astype(np.uint64)))
+        block[i0:i1].reshape(-1)[p] = vals
+        dead = ~passed.reshape(-1, d).any(axis=1)
+        q = np.flatnonzero(dead)
         k = q + (q // n) * (span - n) + (base + 2 + 2 * nd)
-        block[i0:i1].reshape(-1, d)[q, 0] = _open_closed(_draws(seed, k.astype(np.uint64)))
+        fallback = _open_closed(_draws(seed, k.astype(np.uint64)))
+        block[i0:i1].reshape(-1, d)[q, 0] = fallback
+        if norms is not None:
+            # A live row's magnitudes are the run of vals from its first one
+            # to the next live row's; a dead row's norm is its fallback.
+            sums = norms[i0:i1].reshape(-1)
+            live = np.flatnonzero(~dead)
+            sums[live] = np.add.reduceat(vals, np.searchsorted(p, live * d))
+            sums[q] = fallback
 
     starts = range(0, d, group)
     workers = min(len(starts), _cpu_budget()) if len(starts) > 1 else 1
@@ -205,7 +224,9 @@ def generate_random_family(d: int, set_size: int,
                 f.result()
     # Fresh and read-only, so the family keeps it as it is, with no copy.
     block.flags.writeable = False
-    return _finite_family(block)
+    if norms is not None:
+        norms.flags.writeable = False
+    return _finite_family(block, norms)
 
 
 def generate_random_poly_family(d: int, n_normals: int,

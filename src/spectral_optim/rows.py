@@ -23,11 +23,12 @@ type when the family is made:
   (d, N, d) block whose slices are its finite sets, which the generator
   hands over with the family.  A small block is scanned whole on every
   call.  A large one keeps bounds on its rows' products: its row L1 norms,
-  which answer the all-ones vector of a start matrix, and per-row intervals
-  for the last call's vector, so a call rescans only the rows that can
-  still be a set's extreme (see :class:`_FiniteBatch`).  That costs three
-  (d, N) arrays and one chunk of gathered rows.  Its copies and pickles
-  are rebuilt from the block, with no bounds;
+  which answer the all-ones vector of a start matrix and which the
+  generator sums as it writes the rows, and per-row intervals for the last
+  call's vector, so a call rescans only the rows that can still be a set's
+  extreme (see :class:`_FiniteBatch`).  That costs three (d, N) arrays and
+  one chunk of gathered rows.  Its copies and pickles are rebuilt from the
+  block, with no bounds, and make the norms as block @ 1;
 * a family of halfspace polytopes solves the LPs of all of its sets in one
   lockstep simplex per call (see :mod:`.lp`): each step prices every set
   that can still improve and pivots them all in one update, so a call
@@ -441,19 +442,20 @@ class _FiniteBatch:
     A block of fewer than ``_PRUNE_ENTRIES`` entries is scanned whole: one
     product, and argmax and argmin along the set axis.  A larger one keeps
     bounds on its rows' products and rescans only the rows that can still
-    be a set's extreme.  It keeps the row L1 norms, block @ 1, made once;
-    and, from its last call, a copy of the lifted vector and an interval
-    [lo, hi] per row that holds a computed product of the row with it.  A
-    call with lifted w measures the largest rise and fall from each kept
-    vector to w: from the all-ones vector, whose products are the norms,
-    and from the last one; it takes the nearer.  r >= 0, so row r's
-    product with w lies in its interval widened by |r|_1 times the rise
-    above and the fall below, plus a slack for the rounding of both
-    products and of the bound arithmetic.  A row is a candidate for the
-    maximum when its hi reaches the largest lo of its set, and for the
-    minimum when its lo reaches the smallest hi.  A set's lone candidate is
-    its pick; where a set has more, they are gathered in chunks and
-    multiplied, and the first extremal one is the pick.
+    be a set's extreme.  It keeps the row L1 norms: the sums the generator
+    made as it wrote the rows (see :func:`_finite_family`), else block @ 1,
+    made on the first pruned call; and, from its last call, a copy of the
+    lifted vector and an interval [lo, hi] per row that holds a computed
+    product of the row with it.  A call with lifted w measures the largest
+    rise and fall from each kept vector to w: from the all-ones vector,
+    whose products are the norms, and from the last one; it takes the
+    nearer.  r >= 0, so row r's product with w lies in its interval widened
+    by |r|_1 times the rise above and the fall below, plus a slack for the
+    rounding of both products and of the bound arithmetic.  A row is a
+    candidate for the maximum when its hi reaches the largest lo of its
+    set, and for the minimum when its lo reaches the smallest hi.  A set's
+    lone candidate is its pick; where a set has more, they are gathered in
+    chunks and multiplied, and the first extremal one is the pick.
 
     A whole scan's pick is always a candidate, so a pick can differ from
     it only where two rows' products agree to within rounding.  The
@@ -463,9 +465,9 @@ class _FiniteBatch:
 
     __slots__ = ("block", "_norms", "_kept")
 
-    def __init__(self, block: np.ndarray):
+    def __init__(self, block: np.ndarray, norms: np.ndarray | None = None):
         self.block = block
-        self._norms = None   # block @ 1, made on the first pruned call
+        self._norms = norms  # row L1 norms, else made on the first pruned call
         self._kept = None    # (w, lo, hi) of the last pruned call
 
     def __len__(self):
@@ -505,6 +507,8 @@ class _FiniteBatch:
         # A computed product is within gamma_d |r|_1 |w|_inf of the exact
         # one; the slack takes eight times that, for both products, the
         # rounding of the shifts, of the norms and of the bounds themselves.
+        # The generator's norms are sums of a row's at most d entries, in
+        # another order than block @ 1 but within the same gamma_d |r|_1.
         scale = max(scale, float(w.max()))
         slack = 8.0 * (b.shape[2] + 2) * 2.0 ** -53 * scale
         lo = np.maximum(lo - norms * (below + slack), 0.0) * (1.0 - 2.0 ** -50)
@@ -647,17 +651,20 @@ def _batch_of(sets):
     return None
 
 
-def _finite_family(block: np.ndarray) -> ProductFamily:
+def _finite_family(block: np.ndarray, norms: np.ndarray | None = None) -> ProductFamily:
     """The family of the finite sets block[0], ..., block[d-1] of one
     (d, N, d) float64 array, answered by one batch over the block.  The
     family owns the block, so its kept bounds cannot go stale: a block that
     is read-only and owns its memory (as the generator's is) is kept as it
-    is, any other is copied and frozen.  The sets are views of it."""
+    is, any other is copied and frozen.  The sets are views of it.
+    ``norms``, where given, is the (d, N) array of the rows' L1 norms,
+    each a sum of the row's entries (the generator's, made as it writes
+    the block); the batch keeps it in place of computing block @ 1."""
     if block.flags.writeable or not block.flags.owndata:
         block = block.copy()
         block.flags.writeable = False
     return ProductFamily(tuple(FiniteSet(rows) for rows in block),
-                         _batch=_FiniteBatch(block))
+                         _batch=_FiniteBatch(block, norms))
 
 
 def _l1_family(C: np.ndarray, radius: float) -> ProductFamily:

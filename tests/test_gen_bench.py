@@ -257,6 +257,42 @@ def test_cpu_budget_is_the_affinity_set_else_the_cpu_count(monkeypatch):
     assert gen._cpu_budget() == 1
 
 
+# Blocks the batch prunes, (d, N, density, seed): finite-sparse's shape, a
+# tall one of six sets per group, one set per group (N d = 132,000 checks),
+# and blocks of dead rows only, of dead rows among live ones, and of full
+# rows.
+@pytest.mark.parametrize("d, n, density, seed", [
+    (500, 100, (0.09, 0.15), 1), (500, 100, (0.09, 0.15), 2),
+    (2000, 10, (0.09, 0.15), 1), (12, 11000, (0.09, 0.15), 3),
+    (200, 40, (0.0, 0.0), 4), (200, 40, (0.0, 0.01), 5), (200, 40, (1.0, 1.0), 6)])
+def test_generator_hands_over_the_row_norms_of_a_pruned_block(monkeypatch, d, n,
+                                                              density, seed):
+    from spectral_optim.rows import _PRUNE_ENTRIES
+
+    norms = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        batch = generate_random_family(d, n, density, seed=seed)._batch
+        assert batch.block.size >= _PRUNE_ENTRIES
+        got = batch._norms
+        assert got.shape == (d, n) and not got.flags.writeable
+        # Summed in another order than the product, within d units of
+        # rounding of it.
+        want = batch.block @ np.ones(d)
+        assert np.all(np.abs(got - want) <= d * 2.0 ** -53 * want)
+        norms.append(got.tobytes())
+        del batch
+    assert norms[0] == norms[1]
+
+
+@pytest.mark.parametrize("d, n", [(122, 100), (30, 3), (100, 100)])
+def test_a_block_below_the_prune_cut_gets_no_norms(d, n):
+    from spectral_optim.rows import _PRUNE_ENTRIES
+
+    batch = generate_random_family(d, n, seed=7)._batch
+    assert batch.block.size < _PRUNE_ENTRIES and batch._norms is None
+
+
 def test_generator_writes_one_block_of_set_views():
     fam = generate_random_family(6, 4, (0.3, 0.7), seed=2)
     block = fam.sets[0].rows.base

@@ -787,6 +787,37 @@ def test_pruned_scan_matches_the_whole_scan_over_optimize_runs(monkeypatch, dens
             _assert_scan_picks(family._batch.block, v, up, down)
 
 
+def test_a_generated_family_starts_from_the_generators_norms(monkeypatch):
+    import copy
+
+    from spectral_optim import OptimizerConfig, optimize, rows
+
+    family = _pruned_family(6)
+    norms = family._batch._norms
+    assert norms is not None
+    block = family._batch.block
+    ones = np.ones(PRUNED_D)
+
+    def no_scan(*args):
+        raise AssertionError("the all-ones vector took a block product")
+
+    with monkeypatch.context() as m:
+        m.setattr(rows, "_scan", no_scan)
+        up, down = family.extremes(ones)
+    _assert_scan_picks(block, ones, up, down)
+    assert family._batch._norms is norms
+    # A copy makes its norms as block @ 1 on its first pruned call, and
+    # gives the same solves to the bit.
+    other = copy.deepcopy(family)
+    assert other._batch._norms is None
+    for direction in ("max", "min"):
+        cfg = OptimizerConfig(direction=direction)
+        a, b = optimize(family, cfg), optimize(other, cfg)
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.rho == b.rho
+    assert family._batch._norms is norms
+    assert np.array_equal(other._batch._norms, block @ ones)
+
+
 def test_pruned_scan_edge_cases(monkeypatch):
     from spectral_optim import OptimizerConfig, optimize
 
